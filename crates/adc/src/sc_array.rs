@@ -11,14 +11,21 @@
 //! DAC+ + DAC− = 2·Vcm + VREF[32] − (IN+ + IN−)   (invariance I3, Eq. 3)
 //! ```
 //!
-//! The block is always evaluated with the transient MNA engine — switches
-//! have finite on-resistance, so code changes produce the settling glitches
-//! visible in the paper's Fig. 5, and defects (stuck switches, floating
-//! bottom plates, shorted capacitors) need no special-case algebra.
+//! Each side is a linear netlist simulated in time — switches have finite
+//! on-resistance, so code changes produce the settling glitches visible in
+//! the paper's Fig. 5, and defects (stuck switches, floating bottom plates,
+//! shorted capacitors) need no special-case algebra. While the switch phase
+//! holds, a side is linear time-invariant: one backward-Euler step is an
+//! affine map from its capacitor voltages and source values to the next
+//! capacitor voltages and DAC± ([`StepMap`]). A session extracts that map
+//! from the transient MNA engine once per side and phase, the first time
+//! the phase runs, and then steps it with a few multiply-adds per step.
+//! [`TransientSim::step`] on the same netlists is the reference it is
+//! tested against.
 
 use symbist_circuit::error::CircuitError;
-use symbist_circuit::netlist::{Device, DeviceId, Netlist, NodeId, SourceWave};
-use symbist_circuit::transient::{TransientOptions, TransientSim};
+use symbist_circuit::netlist::{DeviceId, Netlist, NodeId};
+use symbist_circuit::transient::{MapStepper, StepMap, TransientOptions, TransientSim};
 use symbist_circuit::waveform::Trace;
 
 use crate::config::AdcConfig;
@@ -111,15 +118,20 @@ enum SwBehavior {
     SeriesOpen,
 }
 
+/// Positions of a side's sources in [`SideCircuit::sources`], which is also
+/// the input order of its step maps.
+const SRC_IN: usize = 0;
+const SRC_M: usize = 1;
+const SRC_L: usize = 2;
+const SRC_VCM: usize = 3;
+
 /// Built netlist for one side plus the handles needed to drive it.
 #[derive(Debug)]
 struct SideCircuit {
     nl: Netlist,
     top: NodeId,
-    src_in: DeviceId,
-    src_m: DeviceId,
-    src_l: DeviceId,
-    src_vcm: DeviceId,
+    /// The input, M, L and Vcm sources, indexed by `SRC_*`.
+    sources: [DeviceId; 4],
     sw_sample_main: Option<DeviceId>,
     sw_conv_main: Option<DeviceId>,
     sw_sample_interp: Option<DeviceId>,
@@ -128,13 +140,6 @@ struct SideCircuit {
 }
 
 impl SideCircuit {
-    fn set_source(&mut self, id: DeviceId, value: f64) {
-        match self.nl.device_mut(id) {
-            Device::VSource { wave, .. } => *wave = SourceWave::Dc(value),
-            _ => unreachable!("source handle is always a VSource"),
-        }
-    }
-
     fn set_phase(&mut self, sampling: bool) {
         let assign = [
             (self.sw_sample_main, sampling),
@@ -316,10 +321,7 @@ impl ScArray {
         SideCircuit {
             nl,
             top,
-            src_in,
-            src_m,
-            src_l,
-            src_vcm,
+            sources: [src_in, src_m, src_l, src_vcm],
             sw_sample_main,
             sw_conv_main,
             sw_sample_interp,
@@ -364,29 +366,31 @@ impl ScArray {
         let tclk = self.cfg.clock_period();
         let dt = tclk / STEPS_PER_CYCLE as f64;
 
-        let circuits = [Side::P, Side::N].map(|side| {
-            let vin = match side {
-                Side::P => in_p,
-                Side::N => in_n,
-            };
+        let mk_side = |side: Side, vin: f64| -> Result<ScSide, CircuitError> {
             let mut circuit = self.build_side(side, vin, vcm);
             circuit.set_phase(true); // sampling
-            circuit
-        });
-        let mk_sim = |circuit: &SideCircuit| {
-            TransientSim::new(
+            let sim = TransientSim::new(
                 &circuit.nl,
                 TransientOptions {
                     dt,
                     ..Default::default()
                 },
-            )
+            )?;
+            let state = sim.map_stepper(&[circuit.top]);
+            // `build_side` starts the M and L sources at 0 V.
+            let mut inputs = [0.0; 4];
+            inputs[SRC_IN] = vin;
+            inputs[SRC_VCM] = vcm;
+            Ok(ScSide {
+                circuit,
+                sim,
+                maps: [None, None],
+                state,
+                inputs,
+            })
         };
-        let sims = [mk_sim(&circuits[0])?, mk_sim(&circuits[1])?];
-
         let mut session = ScSession {
-            circuits,
-            sims,
+            sides: [mk_side(Side::P, in_p)?, mk_side(Side::N, in_n)?],
             traces: ScTraces {
                 dac_p: Trace::new("dac_p"),
                 dac_n: Trace::new("dac_n"),
@@ -460,11 +464,54 @@ impl ScArray {
 /// apply conversion codes one clock cycle at a time.
 #[derive(Debug)]
 pub struct ScSession {
-    circuits: [SideCircuit; 2],
-    sims: [TransientSim; 2],
+    sides: [ScSide; 2],
     traces: ScTraces,
     record: bool,
     sampling: bool,
+}
+
+/// One side of a session.
+#[derive(Debug)]
+struct ScSide {
+    /// The side's netlist; its switches are set to a phase only to
+    /// extract that phase's map.
+    circuit: SideCircuit,
+    /// Holds the initial operating point and the engine maps come from.
+    sim: TransientSim,
+    /// Step maps by phase (`[conversion, sampling]`), each extracted the
+    /// first time its phase runs.
+    maps: [Option<StepMap>; 2],
+    /// Capacitor voltages and DAC± (the single probe, the top plate).
+    state: MapStepper,
+    /// Source values, indexed by `SRC_*`.
+    inputs: [f64; 4],
+}
+
+impl ScSide {
+    fn step(&mut self, sampling: bool) -> Result<(), CircuitError> {
+        let map = match &mut self.maps[usize::from(sampling)] {
+            Some(map) => map,
+            slot @ None => {
+                self.circuit.set_phase(sampling);
+                let map = self.sim.step_map(
+                    &self.circuit.nl,
+                    &self.circuit.sources,
+                    &[self.circuit.top],
+                )?;
+                slot.insert(map)
+            }
+        };
+        self.state.step(map, &self.inputs)
+    }
+
+    fn top(&self) -> f64 {
+        self.state.probe(0)
+    }
+
+    fn set_levels(&mut self, lv: SideLevels) {
+        self.inputs[SRC_M] = lv.m;
+        self.inputs[SRC_L] = lv.l;
+    }
 }
 
 impl ScSession {
@@ -481,24 +528,14 @@ impl ScSession {
         lv_p: SideLevels,
         lv_n: SideLevels,
     ) -> Result<(f64, f64), CircuitError> {
-        if self.sampling {
-            for circuit in self.circuits.iter_mut() {
-                circuit.set_phase(false);
-            }
-            self.sampling = false;
-        }
+        self.sampling = false;
         // P side switches first...
-        self.circuits[0].set_source(self.circuits[0].src_m, lv_p.m);
-        self.circuits[0].set_source(self.circuits[0].src_l, lv_p.l);
+        self.sides[0].set_levels(lv_p);
         self.run_steps(1)?;
         // ...then the N side, one step of skew later.
-        self.circuits[1].set_source(self.circuits[1].src_m, lv_n.m);
-        self.circuits[1].set_source(self.circuits[1].src_l, lv_n.l);
+        self.sides[1].set_levels(lv_n);
         self.run_steps(STEPS_PER_CYCLE - 1)?;
-        let out = (
-            self.sims[0].voltage(self.circuits[0].top),
-            self.sims[1].voltage(self.circuits[1].top),
-        );
+        let out = (self.sides[0].top(), self.sides[1].top());
         self.traces.settled.push(out);
         Ok(out)
     }
@@ -509,13 +546,12 @@ impl ScSession {
 
     fn run_steps(&mut self, steps: usize) -> Result<(), CircuitError> {
         for _ in 0..steps {
-            for (sim, circuit) in self.sims.iter_mut().zip(self.circuits.iter()) {
-                sim.step(&circuit.nl)?;
+            for side in &mut self.sides {
+                side.step(self.sampling)?;
             }
             if self.record {
-                let vp = self.sims[0].voltage(self.circuits[0].top);
-                let vn = self.sims[1].voltage(self.circuits[1].top);
-                let t = self.sims[0].time();
+                let (vp, vn) = (self.sides[0].top(), self.sides[1].top());
+                let t = self.sides[0].state.time();
                 self.traces.dac_p.push(t, vp);
                 self.traces.dac_n.push(t, vn);
                 self.traces.sum.push(t, vp + vn);
@@ -532,16 +568,14 @@ impl ScSession {
     /// Changes the FD input mid-run (used by dynamic-stimulus extensions;
     /// the sampled charge only reflects it at the next sampling phase).
     pub fn set_inputs(&mut self, in_p: f64, in_n: f64) {
-        let values = [in_p, in_n];
-        for (circuit, v) in self.circuits.iter_mut().zip(values) {
-            circuit.set_source(circuit.src_in, v);
-        }
+        self.sides[0].inputs[SRC_IN] = in_p;
+        self.sides[1].inputs[SRC_IN] = in_n;
     }
 
     /// Changes the common-mode source mid-run.
     pub fn set_vcm(&mut self, vcm: f64) {
-        for circuit in self.circuits.iter_mut() {
-            circuit.set_source(circuit.src_vcm, vcm);
+        for side in &mut self.sides {
+            side.inputs[SRC_VCM] = vcm;
         }
     }
 }
@@ -727,6 +761,162 @@ mod tests {
             let dev = (vp + vn - 1.2).abs();
             assert!(dev < 5e-3, "mismatch dev {dev}");
         }
+    }
+
+    /// Reference path: generic [`TransientSim::step`] on the same
+    /// `build_side` netlists, with the sources and switches mutated in the
+    /// netlist between steps, following the session's phase and skew
+    /// schedule.
+    fn oracle(
+        sc: &ScArray,
+        (in_p, in_n, vcm): (f64, f64, f64),
+        levels_p: &[SideLevels],
+        levels_n: &[SideLevels],
+    ) -> Result<ScTraces, CircuitError> {
+        use symbist_circuit::netlist::{Device, SourceWave};
+        let tclk = sc.cfg.clock_period();
+        let dt = tclk / STEPS_PER_CYCLE as f64;
+        let mut circuits = [
+            sc.build_side(Side::P, in_p, vcm),
+            sc.build_side(Side::N, in_n, vcm),
+        ];
+        let mut sims = Vec::new();
+        for circuit in &mut circuits {
+            circuit.set_phase(true);
+            let options = TransientOptions {
+                dt,
+                ..Default::default()
+            };
+            sims.push(TransientSim::new(&circuit.nl, options)?);
+        }
+        let mut traces = ScTraces {
+            dac_p: Trace::new("dac_p"),
+            dac_n: Trace::new("dac_n"),
+            sum: Trace::new("dac_sum"),
+            settled: Vec::new(),
+            cycle_time: tclk,
+        };
+        let mut run = |circuits: &[SideCircuit; 2], traces: &mut ScTraces, steps: usize| {
+            for _ in 0..steps {
+                for (sim, circuit) in sims.iter_mut().zip(circuits) {
+                    sim.step(&circuit.nl)?;
+                }
+                let (vp, vn) = (
+                    sims[0].voltage(circuits[0].top),
+                    sims[1].voltage(circuits[1].top),
+                );
+                traces.dac_p.push(sims[0].time(), vp);
+                traces.dac_n.push(sims[0].time(), vn);
+                traces.sum.push(sims[0].time(), vp + vn);
+            }
+            Ok::<_, CircuitError>((
+                sims[0].voltage(circuits[0].top),
+                sims[1].voltage(circuits[1].top),
+            ))
+        };
+        let set_levels = |circuit: &mut SideCircuit, lv: SideLevels| {
+            for (src, v) in [(SRC_M, lv.m), (SRC_L, lv.l)] {
+                match circuit.nl.device_mut(circuit.sources[src]) {
+                    Device::VSource { wave, .. } => *wave = SourceWave::Dc(v),
+                    _ => unreachable!("side sources are voltage sources"),
+                }
+            }
+        };
+        run(&circuits, &mut traces, STEPS_PER_CYCLE)?;
+        for (lp, ln) in levels_p.iter().zip(levels_n) {
+            for circuit in &mut circuits {
+                circuit.set_phase(false);
+            }
+            set_levels(&mut circuits[0], *lp);
+            run(&circuits, &mut traces, 1)?;
+            set_levels(&mut circuits[1], *ln);
+            let settled = run(&circuits, &mut traces, STEPS_PER_CYCLE - 1)?;
+            traces.settled.push(settled);
+        }
+        Ok(traces)
+    }
+
+    /// Largest |map − oracle| over the settled `(DAC+, DAC−)` pairs.
+    fn settled_gap(map: &[(f64, f64)], oracle: &[(f64, f64)]) -> f64 {
+        assert_eq!(map.len(), oracle.len());
+        map.iter()
+            .zip(oracle)
+            .map(|(a, b)| (a.0 - b.0).abs().max((a.1 - b.1).abs()))
+            .fold(0.0, f64::max)
+    }
+
+    /// Largest |map − oracle| over every recorded waveform sample; the
+    /// time bases must agree exactly.
+    fn trace_gap(map: &ScTraces, oracle: &ScTraces) -> f64 {
+        let mut worst = settled_gap(&map.settled, &oracle.settled);
+        for (m, o) in [
+            (&map.dac_p, &oracle.dac_p),
+            (&map.dac_n, &oracle.dac_n),
+            (&map.sum, &oracle.sum),
+        ] {
+            assert_eq!(m.times(), o.times(), "trace time bases differ");
+            for (a, b) in m.values().iter().zip(o.values()) {
+                worst = worst.max((a - b).abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn step_maps_match_the_transient_oracle_over_every_sc_defect() {
+        let c = cfg();
+        let mut variants: Vec<(String, ScArray)> = vec![("healthy".into(), ScArray::new(&c))];
+        let catalog = ScArray::new(&c).components().to_vec();
+        for (idx, info) in catalog.iter().enumerate() {
+            for &kind in info.kind.applicable_defects() {
+                let mut sc = ScArray::new(&c);
+                sc.set_defect(Some((idx, kind)));
+                variants.push((format!("{} {kind}", info.name), sc));
+            }
+        }
+        assert_eq!(variants.len(), 1 + 76);
+        for (k, m) in [
+            ScMismatch {
+                cm_p: 0.002,
+                cl_p: -0.003,
+                cm_n: -0.001,
+                cl_n: 0.002,
+            },
+            ScMismatch {
+                cm_p: -0.004,
+                cl_p: 0.001,
+                cm_n: 0.003,
+                cl_n: -0.002,
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut sc = ScArray::new(&c);
+            sc.set_mismatch(m);
+            variants.push((format!("mismatch {k}"), sc));
+        }
+
+        let (lp, ln) = counter_levels(1.2, 0..32);
+        let inputs = (0.6 + 0.15, 0.6 - 0.15, 0.6);
+        let (in_p, in_n, vcm) = inputs;
+        let mut worst = 0.0f64;
+        for (name, sc) in &variants {
+            let reference = oracle(sc, inputs, &lp, &ln)
+                .unwrap_or_else(|e| panic!("{name}: oracle failed: {e}"));
+            let settled = sc
+                .run_codes(in_p, in_n, vcm, &lp, &ln)
+                .unwrap_or_else(|e| panic!("{name}: run_codes failed: {e}"));
+            let traced = sc
+                .trace_codes(in_p, in_n, vcm, &lp, &ln)
+                .unwrap_or_else(|e| panic!("{name}: trace_codes failed: {e}"));
+            assert_eq!(traced.sum.len(), 33 * STEPS_PER_CYCLE, "{name}");
+            assert_eq!(traced.settled, settled, "{name}: record mode differs");
+            let gap = trace_gap(&traced, &reference);
+            assert!(gap < 1e-9, "{name}: map path off the oracle by {gap:e} V");
+            worst = worst.max(gap);
+        }
+        eprintln!("worst map-vs-oracle gap {worst:e} V");
     }
 
     #[test]

@@ -457,16 +457,26 @@ pub(crate) struct SparseAssembler {
     key: Vec<u64>,
 }
 
-type AssemblerCache = HashMap<Vec<u64>, SparseAssembler, BuildHasherDefault<FnvHasher>>;
-
-thread_local! {
-    static ASSEMBLER_CACHE: RefCell<AssemblerCache> = RefCell::new(HashMap::default());
+/// Per-thread assemblers keyed by topology, each stamped with the tick of
+/// its last release. [`SparseAssembler::obtain`] removes an entry and
+/// [`SparseAssembler::release`] re-inserts it, so the smallest stamp is the
+/// least recently used topology.
+#[derive(Default)]
+struct AssemblerCache {
+    entries: HashMap<Vec<u64>, (u64, SparseAssembler), BuildHasherDefault<FnvHasher>>,
+    tick: u64,
 }
 
-/// Entry cap on the per-thread assembler cache (cleared on overflow). Sized
-/// for the worst realistic topology count: a defect campaign injecting a
-/// few hundred structural shorts/opens into one netlist.
-const ASSEMBLER_CACHE_CAP: usize = 256;
+thread_local! {
+    static ASSEMBLER_CACHE: RefCell<AssemblerCache> = RefCell::new(AssemblerCache::default());
+}
+
+/// Entry cap on the per-thread assembler cache; on overflow the least
+/// recently released topology is evicted. A defect campaign keeps a few
+/// dozen topologies hot (the healthy blocks plus their common defect
+/// variants) and streams hundreds of one-off defect topologies past them;
+/// recency eviction drops the one-offs without flushing the hot set.
+const ASSEMBLER_CACHE_CAP: usize = 64;
 
 impl SparseAssembler {
     /// A cheap structural fingerprint of the netlist: device kinds and node
@@ -512,8 +522,8 @@ impl SparseAssembler {
     /// whenever the assembled values change.
     pub(crate) fn obtain(netlist: &Netlist, layout: &MnaLayout) -> Self {
         let key = Self::structure_key(netlist, layout.dim);
-        let cached = ASSEMBLER_CACHE.with(|c| c.borrow_mut().remove(&key));
-        let mut asm = cached.unwrap_or_else(|| Self::new(netlist, layout));
+        let cached = ASSEMBLER_CACHE.with(|c| c.borrow_mut().entries.remove(&key));
+        let mut asm = cached.map_or_else(|| Self::new(netlist, layout), |(_, asm)| asm);
         asm.key = key;
         asm
     }
@@ -528,10 +538,19 @@ impl SparseAssembler {
         // `try_with`: drops during thread teardown must not panic.
         let _ = ASSEMBLER_CACHE.try_with(|c| {
             let mut cache = c.borrow_mut();
-            if cache.len() >= ASSEMBLER_CACHE_CAP {
-                cache.clear();
+            if cache.entries.len() >= ASSEMBLER_CACHE_CAP {
+                let oldest = cache
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (tick, _))| *tick)
+                    .map(|(k, _)| k.clone());
+                if let Some(oldest) = oldest {
+                    cache.entries.remove(&oldest);
+                }
             }
-            cache.insert(key, self);
+            cache.tick += 1;
+            let tick = cache.tick;
+            cache.entries.insert(key, (tick, self));
         });
     }
 
@@ -995,6 +1014,11 @@ impl SparseAssembler {
         self.numeric.solve_into(&self.symbolic, &self.rhs, x_out);
         Ok(!same)
     }
+
+    /// Solves the last factored system for another right-hand side.
+    pub(crate) fn solve_factored(&mut self, rhs: &[f64], x_out: &mut [f64]) {
+        self.numeric.solve_into(&self.symbolic, rhs, x_out);
+    }
 }
 
 /// Solver engine: sparse split-assembly path with the dense partially-pivoted
@@ -1119,36 +1143,75 @@ impl MnaEngine {
         netlist: &Netlist,
         ctx: &AssemblyCtx<'_>,
     ) -> Result<&[f64], SingularMatrixError> {
-        let mut solved = false;
-        if self.sparse_failures < SPARSE_FAILURE_LIMIT {
-            // Split borrows: the layout lives on the dense assembler.
-            if let Some(sparse) = self.sparse.as_mut() {
-                match sparse.assemble_and_solve(
-                    netlist,
-                    &self.dense.layout,
-                    ctx,
-                    &mut self.solution,
-                ) {
-                    Ok(refactored) => {
-                        self.sparse_failures = 0;
-                        solved = true;
-                        self.stats.sparse_solves += 1;
-                        if refactored {
-                            self.stats.refactors += 1;
-                        } else {
-                            self.stats.refactor_skips += 1;
-                        }
-                    }
-                    Err(_) => self.sparse_failures += 1,
-                }
-            }
-        }
-        if !solved {
+        if !self.try_sparse(netlist, ctx) {
             self.dense.assemble(netlist, ctx);
             self.solution = self.dense.matrix.solve(&self.dense.rhs)?;
             self.stats.dense_solves += 1;
         }
         Ok(&self.solution)
+    }
+
+    /// Assembles the system matrix at `ctx` once and solves it for every
+    /// right-hand side in `columns`, overwriting each with its solution.
+    /// The right-hand side `ctx` itself implies is not used. Path choice,
+    /// dense fallback and solve tallies are those of
+    /// [`Self::assemble_and_solve`]: one solve per call, however many
+    /// columns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] when the dense fallback also finds
+    /// the matrix singular.
+    pub(crate) fn solve_columns(
+        &mut self,
+        netlist: &Netlist,
+        ctx: &AssemblyCtx<'_>,
+        columns: &mut [Vec<f64>],
+    ) -> Result<(), SingularMatrixError> {
+        if self.try_sparse(netlist, ctx) {
+            let sparse = self.sparse.as_mut().expect("sparse path just solved");
+            for col in columns {
+                sparse.solve_factored(col, &mut self.solution);
+                col.copy_from_slice(&self.solution);
+            }
+        } else {
+            self.dense.assemble(netlist, ctx);
+            let lu = self.dense.matrix.lu()?;
+            for col in columns {
+                *col = lu.solve(col);
+            }
+            self.stats.dense_solves += 1;
+        }
+        Ok(())
+    }
+
+    /// Solves on the sparse path into `self.solution`; `false` when the
+    /// caller must take the dense path (sparse disabled, gone sticky-dense,
+    /// or a vanishing static pivot).
+    fn try_sparse(&mut self, netlist: &Netlist, ctx: &AssemblyCtx<'_>) -> bool {
+        if self.sparse_failures >= SPARSE_FAILURE_LIMIT {
+            return false;
+        }
+        // Split borrows: the layout lives on the dense assembler.
+        let Some(sparse) = self.sparse.as_mut() else {
+            return false;
+        };
+        match sparse.assemble_and_solve(netlist, &self.dense.layout, ctx, &mut self.solution) {
+            Ok(refactored) => {
+                self.sparse_failures = 0;
+                self.stats.sparse_solves += 1;
+                if refactored {
+                    self.stats.refactors += 1;
+                } else {
+                    self.stats.refactor_skips += 1;
+                }
+                true
+            }
+            Err(_) => {
+                self.sparse_failures += 1;
+                false
+            }
+        }
     }
 }
 
@@ -1417,5 +1480,40 @@ mod tests {
         // lambda introduces a small step at pinch-off in the level-1 model
         // (standard behaviour); with lambda·vds = 5% the step is bounded.
         assert!((i_sat - i_tri).abs() / i_tri < 0.06);
+    }
+
+    #[test]
+    fn assembler_cache_evicts_the_least_recently_released_topology() {
+        // A ladder of `k` resistors: one distinct topology per `k`.
+        let ladder = |k: usize| {
+            let mut nl = Netlist::new();
+            let mut prev = nl.node("n0");
+            nl.vsource(prev, Netlist::GND, 1.0);
+            for i in 1..=k {
+                let n = nl.node(&format!("n{i}"));
+                nl.resistor(prev, n, 1e3);
+                prev = n;
+            }
+            nl.resistor(prev, Netlist::GND, 1e3);
+            nl
+        };
+        let cycle = |nl: &Netlist| SparseAssembler::obtain(nl, &MnaLayout::new(nl)).release();
+        let cached = |nl: &Netlist| {
+            let key = SparseAssembler::structure_key(nl, MnaLayout::new(nl).dim);
+            ASSEMBLER_CACHE.with(|c| c.borrow().entries.contains_key(&key))
+        };
+        ASSEMBLER_CACHE.with(|c| c.borrow_mut().entries.clear());
+        let nets: Vec<Netlist> = (1..=ASSEMBLER_CACHE_CAP + 1).map(ladder).collect();
+        for nl in &nets[..ASSEMBLER_CACHE_CAP] {
+            cycle(nl);
+        }
+        // Re-using the oldest entry makes the second-oldest the eviction
+        // victim when one more topology arrives.
+        cycle(&nets[0]);
+        cycle(&nets[ASSEMBLER_CACHE_CAP]);
+        assert!(cached(&nets[0]));
+        assert!(!cached(&nets[1]));
+        assert!(nets[2..].iter().all(cached));
+        ASSEMBLER_CACHE.with(|c| assert_eq!(c.borrow().entries.len(), ASSEMBLER_CACHE_CAP));
     }
 }

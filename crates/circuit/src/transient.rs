@@ -30,9 +30,9 @@
 //! # Ok::<(), symbist_circuit::error::CircuitError>(())
 //! ```
 
-use crate::dc::{DcOptions, DcSolver, Operating};
+use crate::dc::{charge_newton_iteration, DcOptions, DcSolver, Operating};
 use crate::error::CircuitError;
-use crate::mna::{CapCompanion, MnaEngine};
+use crate::mna::{AssemblyCtx, CapCompanion, MnaEngine, Thermal};
 use crate::netlist::{Device, DeviceId, Netlist, NodeId};
 use crate::waveform::{Trace, TraceSet};
 
@@ -315,6 +315,144 @@ impl TransientSim {
         Ok(())
     }
 
+    /// Extracts the next backward-Euler step of a linear netlist, at its
+    /// current switch state, as an affine [`StepMap`].
+    ///
+    /// `inputs` names every independent source of the netlist, in the
+    /// order [`MapStepper::step`] takes their values; `probes` are the
+    /// node voltages the map reports besides the capacitor voltages. The
+    /// map is assembled by this sim's own engine with its companions and
+    /// gmin (dense fallback included), one solve column per capacitor and
+    /// per input, so stepping it reproduces [`TransientSim::step`] up to
+    /// rounding. It stays valid while switches and capacitances hold.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InvalidConfig`] for a nonlinear netlist, a
+    /// trapezoidal sim, an `inputs` entry that is not an independent
+    /// source, or a source missing from `inputs`;
+    /// [`CircuitError::NoConvergence`] (as a failed step would report it)
+    /// when the step's system is singular.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the netlist's device count changed since construction or
+    /// a probe is out of range.
+    pub fn step_map(
+        &mut self,
+        netlist: &Netlist,
+        inputs: &[DeviceId],
+        probes: &[NodeId],
+    ) -> Result<StepMap, CircuitError> {
+        assert_eq!(
+            netlist.device_count(),
+            self.device_count,
+            "netlist topology changed mid-simulation"
+        );
+        let invalid = |reason: String| Err(CircuitError::InvalidConfig { reason });
+        if netlist.has_nonlinear() {
+            return invalid("step maps need a linear netlist".into());
+        }
+        if self.integrator != Integrator::BackwardEuler {
+            return invalid("step maps need the backward-Euler integrator".into());
+        }
+        let layout = self.asm.layout();
+        let dim = layout.dim;
+        let mut caps = Vec::new();
+        let mut columns = Vec::new();
+        for (id, dev) in netlist.iter() {
+            match dev {
+                Device::Capacitor { a, b, farads, .. } => {
+                    // A unit voltage on this capacitor alone: its companion
+                    // current g·1 is the whole right-hand side.
+                    let g = farads / self.dt;
+                    self.companions[id.index()] = Some(CapCompanion { g, ieq: g });
+                    let mut col = vec![0.0; dim];
+                    if let Some(i) = layout.node_index(*a) {
+                        col[i] += g;
+                    }
+                    if let Some(i) = layout.node_index(*b) {
+                        col[i] -= g;
+                    }
+                    caps.push((*a, *b));
+                    columns.push(col);
+                }
+                Device::VSource { .. } | Device::ISource { .. } if !inputs.contains(&id) => {
+                    return invalid(format!("source {id:?} is not a step-map input"));
+                }
+                _ => {}
+            }
+        }
+        for &id in inputs {
+            let mut col = vec![0.0; dim];
+            match netlist.device(id) {
+                Device::VSource { .. } => col[layout.branch_index(id)] = 1.0,
+                Device::ISource { p, n, .. } => {
+                    if let Some(i) = layout.node_index(*p) {
+                        col[i] -= 1.0;
+                    }
+                    if let Some(i) = layout.node_index(*n) {
+                        col[i] += 1.0;
+                    }
+                }
+                _ => return invalid(format!("step-map input {id:?} is not a source")),
+            }
+            columns.push(col);
+        }
+
+        let options = self.solver.options();
+        let ctx = AssemblyCtx {
+            time: self.time + self.dt,
+            source_scale: 1.0,
+            gmin: options.gmin,
+            guess: &self.x,
+            cap_companion: &self.companions,
+            thermal: Thermal::new(options.temperature_c + 273.15),
+        };
+        if self.asm.solve_columns(netlist, &ctx, &mut columns).is_err() {
+            return Err(CircuitError::NoConvergence {
+                analysis: "transient step",
+                iterations: options.max_iter,
+            });
+        }
+
+        let layout = self.asm.layout();
+        let at = |col: &[f64], n: NodeId| layout.node_index(n).map_or(0.0, |i| col[i]);
+        let mut coef = Vec::with_capacity((caps.len() + probes.len()) * columns.len());
+        for &(a, b) in &caps {
+            coef.extend(columns.iter().map(|col| at(col, a) - at(col, b)));
+        }
+        for &n in probes {
+            assert!(n.index() < layout.node_count, "node {n} out of range");
+            coef.extend(columns.iter().map(|col| at(col, n)));
+        }
+        Ok(StepMap {
+            states: caps.len(),
+            probes: probes.to_vec(),
+            inputs: inputs.len(),
+            coef,
+            dt: self.dt,
+            max_iter: options.max_iter,
+        })
+    }
+
+    /// A [`MapStepper`] starting from this sim's current state: its
+    /// capacitor voltages and the voltages of `probes`, which must be the
+    /// probes the stepped maps are extracted with.
+    pub fn map_stepper(&self, probes: &[NodeId]) -> MapStepper {
+        let mut state: Vec<f64> = self.cap_state.iter().flatten().map(|c| c.v_prev).collect();
+        let states = state.len();
+        state.extend(probes.iter().map(|&n| self.voltage(n)));
+        MapStepper {
+            next: vec![0.0; state.len()],
+            state,
+            states,
+            probes: probes.to_vec(),
+            time: self.time,
+            steps_taken: 0,
+        }
+    }
+
     fn node_v(&self, n: NodeId) -> f64 {
         match self.asm.layout().node_index(n) {
             None => 0.0,
@@ -349,6 +487,119 @@ impl TransientSim {
         }
         Ok(set)
     }
+}
+
+/// One backward-Euler step of a linear netlist at a fixed switch state,
+/// as an affine map.
+///
+/// While every switch holds, a step is linear in the capacitor voltages it
+/// starts from and in the source values it is taken at:
+///
+/// ```text
+/// [v; p](t + dt) = A·v(t) + B·u(t + dt)
+/// ```
+///
+/// `v` stacks the capacitor voltages in device order, `p` the probed node
+/// voltages and `u` the source values. A [`MapStepper`] advances a state
+/// with a few multiply-adds per step instead of assembling and solving the
+/// MNA system; extract one map per switch state with
+/// [`TransientSim::step_map`].
+#[derive(Debug, Clone)]
+pub struct StepMap {
+    states: usize,
+    probes: Vec<NodeId>,
+    inputs: usize,
+    /// Row-major `[A | B]`, `states + probes` rows of `states + inputs`.
+    coef: Vec<f64>,
+    dt: f64,
+    /// Iteration budget a failing step reports, as the Newton step would.
+    max_iter: usize,
+}
+
+/// The state a [`StepMap`] advances: capacitor voltages plus probed node
+/// voltages of one linear netlist. Created by [`TransientSim::map_stepper`].
+///
+/// Each step keeps the bookkeeping of [`TransientSim::step`]: it charges
+/// one Newton iteration against the thread's [`crate::dc::SolveBudget`]
+/// (a linear step is one Newton iteration) and counts towards
+/// `symbist_solver_transient_steps_total`, flushed once on drop.
+#[derive(Debug)]
+pub struct MapStepper {
+    /// Capacitor voltages, then probe voltages.
+    state: Vec<f64>,
+    /// Scratch for the next state.
+    next: Vec<f64>,
+    states: usize,
+    probes: Vec<NodeId>,
+    time: f64,
+    steps_taken: u64,
+}
+
+impl Drop for MapStepper {
+    fn drop(&mut self) {
+        symbist_obs::counter!(
+            "symbist_solver_transient_steps_total",
+            "Transient integration steps taken"
+        )
+        .add(self.steps_taken);
+    }
+}
+
+impl MapStepper {
+    /// Advances one step with the source values `inputs`, ordered as the
+    /// map's `inputs` were.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::BudgetExhausted`] when the thread budget runs out;
+    /// [`CircuitError::NoConvergence`] when the new state is not finite
+    /// (the state is then left unchanged).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map was extracted for another capacitor count or
+    /// other probes than this state holds, or `inputs` has the wrong
+    /// length.
+    pub fn step(&mut self, map: &StepMap, inputs: &[f64]) -> Result<(), CircuitError> {
+        assert_eq!(map.states, self.states, "step map capacitor count");
+        assert_eq!(map.probes, self.probes, "step map probes");
+        assert_eq!(map.inputs, inputs.len(), "step map inputs");
+        charge_newton_iteration()?;
+        let (v, width) = (&self.state[..self.states], map.states + map.inputs);
+        for (next, row) in self.next.iter_mut().zip(map.coef.chunks_exact(width)) {
+            let (a, b) = row.split_at(map.states);
+            *next = dot(a, v) + dot(b, inputs);
+        }
+        if !self.next.iter().all(|x| x.is_finite()) {
+            return Err(CircuitError::NoConvergence {
+                analysis: "transient step",
+                iterations: map.max_iter,
+            });
+        }
+        std::mem::swap(&mut self.state, &mut self.next);
+        self.time += map.dt;
+        self.steps_taken += 1;
+        Ok(())
+    }
+
+    /// Voltage of probe `i` at the current time.
+    pub fn probe(&self, i: usize) -> f64 {
+        self.state[self.states + i]
+    }
+
+    /// Capacitor voltages at the current time, in device order.
+    pub fn capacitor_voltages(&self) -> &[f64] {
+        &self.state[..self.states]
+    }
+
+    /// Current simulation time in seconds.
+    pub fn time(&self) -> f64 {
+        self.time
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]
@@ -531,6 +782,126 @@ mod tests {
             "vb = {}",
             sim.voltage(b)
         );
+    }
+
+    /// Two caps charged through a switch from a voltage source, an
+    /// injected current and a probe node between them.
+    fn switched_rc() -> (Netlist, [DeviceId; 3], NodeId) {
+        let mut nl = Netlist::new();
+        let s = nl.node("s");
+        let a = nl.node("a");
+        let b = nl.node("b");
+        let vs = nl.vsource(s, Netlist::GND, 1.0);
+        let is = nl.isource(Netlist::GND, b, 1e-6);
+        nl.resistor(s, a, 1e3);
+        nl.capacitor(a, Netlist::GND, 1e-12);
+        nl.capacitor(a, b, 2e-12);
+        nl.resistor(b, Netlist::GND, 1e5);
+        let sw = nl.switch(b, Netlist::GND, 100.0, 1e9);
+        (nl, [vs, is, sw], b)
+    }
+
+    #[test]
+    fn step_map_tracks_generic_steps_across_switch_and_source_changes() {
+        let (mut nl, [vs, is, sw], b) = switched_rc();
+        let opts = TransientOptions {
+            dt: 1e-10,
+            ..Default::default()
+        };
+        let mut oracle = TransientSim::new(&nl, opts.clone()).unwrap();
+        let mut sim = TransientSim::new(&nl, opts).unwrap();
+        let mut state = sim.map_stepper(&[b]);
+        for phase in 0..4 {
+            let closed = phase % 2 == 1;
+            nl.set_switch(sw, closed);
+            let map = sim.step_map(&nl, &[vs, is], &[b]).unwrap();
+            for k in 0..40 {
+                let (v, i) = (0.2 * f64::from(phase + 1), 1e-6 * f64::from(k % 3));
+                for (id, value) in [(vs, v), (is, i)] {
+                    match nl.device_mut(id) {
+                        Device::VSource { wave, .. } | Device::ISource { wave, .. } => {
+                            *wave = SourceWave::Dc(value);
+                        }
+                        _ => unreachable!(),
+                    }
+                }
+                oracle.step(&nl).unwrap();
+                state.step(&map, &[v, i]).unwrap();
+                assert!((state.probe(0) - oracle.voltage(b)).abs() < 1e-12);
+                assert_eq!(state.time(), oracle.time());
+            }
+        }
+        let a = nl.find_node("a").unwrap();
+        let expect = [oracle.voltage(a), oracle.differential(a, b)];
+        for (got, want) in state.capacitor_voltages().iter().zip(expect) {
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn map_steps_charge_the_budget_like_linear_newton_steps() {
+        let (nl, [vs, is, _], b) = switched_rc();
+        let budget = |iters| {
+            crate::dc::set_thread_solve_budget(Some(crate::dc::SolveBudget {
+                deadline: None,
+                newton_iters: Some(iters),
+            }))
+        };
+        let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
+        let map = sim.step_map(&nl, &[vs, is], &[b]).unwrap();
+        let mut state = sim.map_stepper(&[b]);
+        budget(3);
+        let results: Vec<_> = (0..4).map(|_| state.step(&map, &[1.0, 0.0])).collect();
+        budget(3);
+        let generic: Vec<_> = (0..4).map(|_| sim.step(&nl)).collect();
+        crate::dc::set_thread_solve_budget(None);
+        assert_eq!(results, generic);
+        assert!(matches!(
+            results[3],
+            Err(CircuitError::BudgetExhausted {
+                resource: "newton-iterations"
+            })
+        ));
+    }
+
+    #[test]
+    fn step_map_preconditions() {
+        let (nl, [vs, is, sw], b) = switched_rc();
+        let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
+        let invalid =
+            |r: Result<StepMap, CircuitError>| matches!(r, Err(CircuitError::InvalidConfig { .. }));
+        // Every independent source must be an input, and only sources.
+        assert!(invalid(sim.step_map(&nl, &[vs], &[b])));
+        assert!(invalid(sim.step_map(&nl, &[vs, is, sw], &[b])));
+        // Trapezoidal steps are not maps of the capacitor voltages alone.
+        let trap = TransientOptions {
+            integrator: Integrator::Trapezoidal,
+            ..Default::default()
+        };
+        let mut sim = TransientSim::new(&nl, trap).unwrap();
+        assert!(invalid(sim.step_map(&nl, &[vs, is], &[b])));
+        // Nonlinear netlists have no fixed step map.
+        let mut nl = nl;
+        nl.diode(b, Netlist::GND, 1e-14, 1.0);
+        let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
+        assert!(invalid(sim.step_map(&nl, &[vs, is], &[b])));
+    }
+
+    #[test]
+    fn non_finite_map_state_is_a_failed_step() {
+        let (nl, [vs, is, _], b) = switched_rc();
+        let mut sim = TransientSim::new(&nl, TransientOptions::default()).unwrap();
+        let map = sim.step_map(&nl, &[vs, is], &[b]).unwrap();
+        let mut state = sim.map_stepper(&[b]);
+        let before = state.probe(0);
+        assert!(matches!(
+            state.step(&map, &[f64::NAN, 0.0]),
+            Err(CircuitError::NoConvergence {
+                analysis: "transient step",
+                ..
+            })
+        ));
+        assert_eq!(state.probe(0), before);
     }
 
     #[test]

@@ -401,8 +401,13 @@ fn with_extra_label(family: &str, suffix: &str, labels: &str, extra: &str) -> St
     }
 }
 
+/// Renders one histogram from a single bucket snapshot: `+Inf` and
+/// `_count` are both the snapshot's total (overflow bucket included), so
+/// an exposition stays self-consistent while other threads `record`.
+/// `_sum` is read separately and may run slightly ahead of or behind it.
 fn render_histogram(out: &mut String, family: &str, labels: &str, h: &Histogram) {
     let counts = h.bucket_counts();
+    let total: u64 = counts.iter().sum();
     let mut cumulative = 0u64;
     for (edge, n) in h.edges().iter().zip(&counts) {
         cumulative += n;
@@ -414,15 +419,14 @@ fn render_histogram(out: &mut String, family: &str, labels: &str, h: &Histogram)
     }
     let _ = writeln!(
         out,
-        "{} {}",
-        with_extra_label(family, "_bucket", labels, "le=\"+Inf\""),
-        h.count()
+        "{} {total}",
+        with_extra_label(family, "_bucket", labels, "le=\"+Inf\"")
     );
     let sum = h.sum();
     let sum_name = series_name(&format!("{family}_sum"), labels);
     let count_name = series_name(&format!("{family}_count"), labels);
     let _ = writeln!(out, "{sum_name} {sum}");
-    let _ = writeln!(out, "{count_name} {}", h.count());
+    let _ = writeln!(out, "{count_name} {total}");
 }
 
 fn escape_help(help: &str) -> String {
@@ -521,5 +525,59 @@ mod tests {
         assert!(text.contains("obs_test_render_hist_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("obs_test_render_hist_sum 3"));
         assert!(text.contains("obs_test_render_hist_count 2"));
+    }
+
+    #[test]
+    fn histogram_exposition_is_consistent_under_concurrent_record() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const WRITERS: u32 = 2;
+        let h = registry().histogram("obs_test_race_hist", "test", ITERATION_EDGES);
+        let stop = AtomicBool::new(false);
+        let start = Barrier::new(WRITERS as usize + 1);
+        // The value of a series line `name value`.
+        let value = |text: &str, name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} line in exposition"))
+        };
+        std::thread::scope(|s| {
+            for t in 0..WRITERS {
+                let (stop, start) = (&stop, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        // Cycle through every bucket, overflow included.
+                        h.record(f64::from(i % 512));
+                        i = i.wrapping_add(1);
+                    }
+                });
+            }
+            start.wait();
+            // Stops the writers however this thread leaves the scope, so
+            // a failed assertion fails the test instead of hanging it.
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+            let _stop = Stop(&stop);
+            let (mut last, mut advanced) = (0, 0);
+            while advanced < 2000 {
+                let text = registry().render_prometheus();
+                let inf = value(&text, r#"obs_test_race_hist_bucket{le="+Inf"}"#);
+                let count = value(&text, "obs_test_race_hist_count");
+                assert_eq!(inf, count, "+Inf bucket and _count disagree");
+                assert!(count >= last, "_count went backwards");
+                // Only renders that saw new records exercise the race.
+                if count > last {
+                    advanced += 1;
+                }
+                last = count;
+            }
+        });
     }
 }
