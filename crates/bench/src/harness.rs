@@ -10,6 +10,8 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
+use symbist_obs::json::Json;
+
 /// Timing summary of one benchmark.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
@@ -152,12 +154,13 @@ impl Harness {
 
     /// Serializes the results (plus optional derived ratios) to JSON.
     ///
-    /// Hand-rolled on purpose: the schema is flat and a serde dependency is
-    /// not available offline.
+    /// Laid out by hand (fixed key order, one result per line) so the
+    /// committed `BENCH_*.json` files diff cleanly; strings are escaped by
+    /// the shared codec's [`Json`] `Display`.
     pub fn to_json(&self, suite: &str, derived: &[(&str, f64)]) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"suite\": {},", json_string(suite));
+        let _ = writeln!(out, "  \"suite\": {},", Json::str(suite));
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
@@ -165,7 +168,7 @@ impl Harness {
                 out,
                 "    {{\"name\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \
                  \"min_ns\": {:.1}, \"iters_per_batch\": {}, \"batches\": {}}}{}",
-                json_string(&r.name),
+                Json::str(&r.name),
                 r.median_ns,
                 r.mean_ns,
                 r.min_ns,
@@ -178,7 +181,7 @@ impl Harness {
         out.push_str("  \"derived\": {");
         for (i, (k, v)) in derived.iter().enumerate() {
             let comma = if i + 1 < derived.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}: {:.4}{}", json_string(k), v, comma);
+            let _ = write!(out, "\n    {}: {:.4}{}", Json::str(*k), v, comma);
         }
         if !derived.is_empty() {
             out.push('\n');
@@ -200,25 +203,6 @@ fn format_ns(ns: f64) -> String {
     } else {
         format!("{:.3} s", ns / 1e9)
     }
-}
-
-/// Minimal JSON string escaping for benchmark names.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -253,11 +237,6 @@ mod tests {
         assert!(json.contains("\"name\": \"a\""));
         assert!(json.contains("\"ratio\": 2.5000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn json_escapes_names() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 
     #[test]

@@ -1,18 +1,23 @@
 //! JSONL checkpoint serialization for campaign records.
 //!
-//! One [`DefectRecord`] per line, as a flat JSON object with a fixed key
-//! set — hand-rolled on purpose (no serde in the dependency tree). The
-//! format must round-trip *bit-identically*: a resumed campaign replays
-//! loaded records into the final result, and the acceptance test for
-//! resume compares records with `==` on `f64` fields. `f64` values are
-//! written with Rust's shortest-roundtrip `Display`, which guarantees
-//! `parse::<f64>()` recovers the exact bits for every finite value; wall
-//! time is written as integer nanoseconds.
+//! One [`DefectRecord`] per line, as a flat JSON object. The writer lays
+//! the line out by hand with a fixed key order, so checkpoints and the
+//! coordinator's merged artifact stay byte-stable (the shared [`Json`]
+//! codec sorts object keys, which would reorder them). The format must
+//! round-trip *bit-identically*: a resumed campaign replays loaded
+//! records into the final result, and the acceptance test for resume
+//! compares records with `==` on `f64` fields. `f64` values are written
+//! with Rust's shortest-roundtrip `Display`, which guarantees the parser
+//! recovers the exact bits for every finite value; wall time is written
+//! as integer nanoseconds.
 //!
-//! The parser is deliberately tolerant: any line that does not parse —
-//! including a torn final line left by a killed process — is skipped by
-//! the loader, and unknown keys are ignored, so the format can grow
-//! fields without invalidating old checkpoints.
+//! The parser is the shared [`Json`] codec and deliberately tolerant: any
+//! line that does not parse — including a torn final line left by a
+//! killed process — is skipped by the loader, and unknown keys are
+//! ignored, so the format can grow fields without invalidating old
+//! checkpoints. A `wall_ns` of 2^53 or more (about 104 days) cannot be
+//! read back exactly, so such a line is skipped too and its defect is
+//! simulated again rather than misread.
 //!
 //! ## Line format
 //!
@@ -29,6 +34,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use symbist_adc::fault::{DefectKind, DefectSite};
+use symbist_obs::json::Json;
 
 use crate::campaign::{DefectRecord, SimOutcome, TestOutcome, UnresolvedReason};
 
@@ -83,64 +89,35 @@ fn line_with(record: &DefectRecord, include_wall: bool) -> String {
     s
 }
 
-/// Extracts the raw value token following `"key":` in a flat JSON line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    // Values are numbers, booleans, null, or label strings without commas
-    // or braces, so scanning to the next delimiter is unambiguous.
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
-}
-
-fn string_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    field(line, key)?
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-}
-
 /// Parses one checkpoint line. Returns `None` on any malformed input
 /// (tolerant-parser contract: the loader skips such lines).
 pub fn parse_checkpoint_line(line: &str) -> Option<DefectRecord> {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    let defect_index: usize = field(line, "defect_index")?.parse().ok()?;
-    let component: usize = field(line, "component")?.parse().ok()?;
-    let kind = DefectKind::from_label(string_field(line, "kind")?)?;
-    let likelihood: f64 = field(line, "likelihood")?.parse().ok()?;
-    let outcome = match string_field(line, "outcome")? {
-        "completed" => {
-            let detected: bool = field(line, "detected")?.parse().ok()?;
-            let detection_cycle = match field(line, "detection_cycle")? {
-                "null" => None,
-                v => Some(v.parse::<u32>().ok()?),
-            };
-            let cycles_run: u32 = field(line, "cycles_run")?.parse().ok()?;
-            SimOutcome::Completed(TestOutcome {
-                detected,
-                detection_cycle,
-                cycles_run,
-            })
-        }
+    let doc = Json::parse(line).ok()?;
+    let uint = |key: &str| doc.get(key)?.as_u64();
+    let cycle = |key: &str| u32::try_from(uint(key)?).ok();
+    let outcome = match doc.get("outcome")?.as_str()? {
+        "completed" => SimOutcome::Completed(TestOutcome {
+            detected: doc.get("detected")?.as_bool()?,
+            detection_cycle: match doc.get("detection_cycle")? {
+                Json::Null => None,
+                _ => Some(cycle("detection_cycle")?),
+            },
+            cycles_run: cycle("cycles_run")?,
+        }),
         "unresolved" => {
-            SimOutcome::Unresolved(UnresolvedReason::from_label(string_field(line, "reason")?)?)
+            SimOutcome::Unresolved(UnresolvedReason::from_label(doc.get("reason")?.as_str()?)?)
         }
         _ => return None,
     };
-    let wall_ns: u128 = field(line, "wall_ns")?.parse().ok()?;
-    let wall = Duration::new(
-        (wall_ns / 1_000_000_000) as u64,
-        (wall_ns % 1_000_000_000) as u32,
-    );
     Some(DefectRecord {
-        defect_index,
-        site: DefectSite { component, kind },
-        likelihood,
+        defect_index: usize::try_from(uint("defect_index")?).ok()?,
+        site: DefectSite {
+            component: usize::try_from(uint("component")?).ok()?,
+            kind: DefectKind::from_label(doc.get("kind")?.as_str()?)?,
+        },
+        likelihood: doc.get("likelihood")?.as_f64()?,
         outcome,
-        wall,
+        wall: Duration::from_nanos(uint("wall_ns")?),
     })
 }
 
@@ -249,6 +226,36 @@ mod tests {
             let merged = merged_line(&a);
             assert!(full.starts_with(&merged[..merged.len() - 1]));
         }
+    }
+
+    #[test]
+    fn wall_roundtrips_exactly_below_2_pow_53_ns() {
+        let mut r = record(completed(true));
+        r.wall = Duration::from_nanos((1 << 53) - 1);
+        let back = parse_checkpoint_line(&checkpoint_line(&r)).unwrap();
+        assert_eq!(back.wall, r.wall);
+        // From 2^53 ns (~104 days) on, f64 cannot tell neighbouring
+        // integers apart: the line is refused (and the defect simulated
+        // again) rather than read back with a rounded wall time.
+        for nanos in [1 << 53, (1 << 53) + 1, u64::MAX] {
+            r.wall = Duration::from_nanos(nanos);
+            assert!(parse_checkpoint_line(&checkpoint_line(&r)).is_none());
+        }
+    }
+
+    #[test]
+    fn nested_kind_key_does_not_shadow_the_record_kind() {
+        let line = r#"{"x":{"kind":"open"},"defect_index":1,"component":0,"kind":"short","likelihood":1,"outcome":"completed","detected":true,"detection_cycle":3,"cycles_run":3,"wall_ns":0}"#;
+        let rec = parse_checkpoint_line(line).expect("parses");
+        assert_eq!(rec.site.kind, DefectKind::Short);
+    }
+
+    #[test]
+    fn whitespace_around_colons_is_valid_json() {
+        let line = r#"{"defect_index" : 1, "component" : 0, "kind" : "short", "likelihood" : 1, "outcome" : "completed", "detected" : true, "detection_cycle" : null, "cycles_run" : 3, "wall_ns" : 0}"#;
+        let rec = parse_checkpoint_line(line).expect("parses");
+        assert_eq!(rec.site.kind, DefectKind::Short);
+        assert_eq!(rec.defect_index, 1);
     }
 
     #[test]

@@ -20,21 +20,20 @@
 //!   exemplar) used to demonstrate that redundancy shifts which defects
 //!   each invariance observes.
 //!
-//! The crate sits *below* `symbist-service` in the dependency graph; the
-//! service re-exports [`json`] (which moved here from the service so the
-//! registry can persist specs without a dependency cycle).
+//! The crate sits *below* `symbist-service` in the dependency graph. Specs
+//! and registry entries are parsed and written with the workspace's one
+//! JSON codec, `symbist_obs::json`; [`Json`] and [`JsonError`] are
+//! re-exported here because this crate's public signatures carry them.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod cap_array;
-pub mod json;
 pub mod model;
 pub mod registry;
 pub mod spec;
 
 pub use cap_array::{CapArrayConfig, CapArrayStructure};
-pub use json::{Json, JsonError};
 pub use model::{check_dut, DutModel, NetlistDut, OPEN_OHMS, SHORT_OHMS};
 pub use registry::{
     DutEntry, DutRegistry, DutRegistryConfig, UploadError, UploadOutcome, BUILTIN_ADC_DUT,
@@ -42,3 +41,4 @@ pub use registry::{
 pub use spec::{
     CalibrationSpec, DutSpec, DutSpecError, InvarianceKind, InvarianceSpec, LikelihoodSpec,
 };
+pub use symbist_obs::json::{Json, JsonError};

@@ -25,9 +25,9 @@ use symbist_adc::fault::Faultable;
 use symbist_lint::{lint_netlist, lint_universe, AnalysisReport, LintReport};
 use symbist_obs::{counter, gauge};
 
-use crate::json::Json;
 use crate::model::DutModel;
 use crate::spec::{DutSpec, DutSpecError};
+use crate::Json;
 
 /// The job-spec `dut` value selecting the baked-in SAR ADC campaign
 /// (equivalent to omitting `dut`; the name is reserved in the registry).

@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use crate::json::Json;
+use crate::Json;
 
 /// Why a DUT spec was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,8 +32,9 @@ use symbist_adc::SarAdc;
 use symbist_circuit::netlist::{Device, DeviceId, Netlist, NodeId};
 use symbist_circuit::topology::DisjointSet;
 use symbist_defects::{DefectUniverse, LikelihoodModel};
+use symbist_obs::json::Json;
 
-use crate::diag::{json_str, Diagnostic, LintReport, Rule};
+use crate::diag::{Diagnostic, LintReport, Rule};
 use crate::orbit::{orbit_partition, OrbitPartition};
 
 /// One invariance as the analyzer sees it: a named set of observed nodes
@@ -133,72 +134,73 @@ impl AnalysisReport {
         self.universe_size.saturating_sub(self.classes.len())
     }
 
-    /// Machine-readable JSON rendering.
-    pub fn to_json_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"context\":{},\"universe_size\":{},\"bound_components\":{},\
-             \"unmodeled_components\":{},\"node_orbits\":{},\"device_orbits\":{},\
-             \"certificate\":\"{:016x}\",\"class_count\":{},\"defects_saved\":{},\
-             \"undetectable\":[",
-            json_str(&self.context),
-            self.universe_size,
-            self.bound_components,
-            self.unmodeled_components,
-            self.node_orbit_count,
-            self.device_orbit_count,
-            self.certificate,
-            self.classes.len(),
-            self.defects_saved(),
-        );
-        for (i, idx) in self.undetectable.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{idx}");
-        }
-        out.push_str("],\"classes\":[");
-        for (i, class) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"orbit\":{},\"kind\":{},\"members\":[",
-                class.orbit,
-                json_str(&class.kind)
-            );
-            for (j, m) in class.members.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{m}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("],\"diagnostics\":");
-        out.push_str(&self.diagnostics.to_json_string());
-        out.push('}');
-        out
+    /// Machine-readable JSON rendering: the counts, the certificate (16
+    /// hex digits), the undetectable indices, every class, and the
+    /// diagnostics as [`LintReport::to_json`].
+    pub fn to_json(&self) -> Json {
+        let indices =
+            |list: &[usize]| Json::Arr(list.iter().map(|&i| Json::num(i as f64)).collect());
+        let classes = self
+            .classes
+            .iter()
+            .map(|class| {
+                Json::obj([
+                    ("orbit", Json::num(class.orbit as f64)),
+                    ("kind", Json::str(class.kind.clone())),
+                    ("members", indices(&class.members)),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("context", Json::str(self.context.clone())),
+            ("universe_size", Json::num(self.universe_size as f64)),
+            ("bound_components", Json::num(self.bound_components as f64)),
+            (
+                "unmodeled_components",
+                Json::num(self.unmodeled_components as f64),
+            ),
+            ("node_orbits", Json::num(self.node_orbit_count as f64)),
+            ("device_orbits", Json::num(self.device_orbit_count as f64)),
+            (
+                "certificate",
+                Json::str(format!("{:016x}", self.certificate)),
+            ),
+            ("class_count", Json::num(self.classes.len() as f64)),
+            ("defects_saved", Json::num(self.defects_saved() as f64)),
+            ("undetectable", indices(&self.undetectable)),
+            ("classes", Json::Arr(classes)),
+            ("diagnostics", self.diagnostics.to_json()),
+        ])
     }
 
-    /// Short JSON summary (counts only) — folded into `GET /v1/lint/{id}`.
+    /// [`to_json`](Self::to_json) serialized compactly.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().to_string()
+    }
+
+    /// Short summary (counts only) — folded into `GET /v1/lint/{id}`.
+    pub fn summary(&self) -> Json {
+        Json::obj([
+            ("node_orbits", Json::num(self.node_orbit_count as f64)),
+            ("device_orbits", Json::num(self.device_orbit_count as f64)),
+            ("class_count", Json::num(self.classes.len() as f64)),
+            ("defects_saved", Json::num(self.defects_saved() as f64)),
+            ("undetectable", Json::num(self.undetectable.len() as f64)),
+            (
+                "certificate",
+                Json::str(format!("{:016x}", self.certificate)),
+            ),
+            ("errors", Json::num(self.diagnostics.error_count() as f64)),
+            (
+                "warnings",
+                Json::num(self.diagnostics.count(crate::Severity::Warning) as f64),
+            ),
+        ])
+    }
+
+    /// [`summary`](Self::summary) serialized compactly.
     pub fn summary_json(&self) -> String {
-        format!(
-            "{{\"node_orbits\":{},\"device_orbits\":{},\"class_count\":{},\
-             \"defects_saved\":{},\"undetectable\":{},\"certificate\":\"{:016x}\",\
-             \"errors\":{},\"warnings\":{}}}",
-            self.node_orbit_count,
-            self.device_orbit_count,
-            self.classes.len(),
-            self.defects_saved(),
-            self.undetectable.len(),
-            self.certificate,
-            self.diagnostics.error_count(),
-            self.diagnostics.count(crate::Severity::Warning),
-        )
+        self.summary().to_string()
     }
 
     /// Human-readable rendering (the `lint --analysis` default output).

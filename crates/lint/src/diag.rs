@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use symbist_obs::json::Json;
+
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -276,57 +278,36 @@ impl LintReport {
     }
 
     /// Machine-readable JSON rendering:
-    /// `{"errors": N, "warnings": N, "diagnostics": [...]}`.
-    pub fn to_json_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.count(Severity::Warning)
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"name\":{},\"severity\":{},\"context\":{},\"subject\":{},\"message\":{}}}",
-                json_str(d.rule.code()),
-                json_str(d.rule.name()),
-                json_str(d.severity.label()),
-                json_str(&d.context),
-                json_str(&d.subject),
-                json_str(&d.message),
-            );
-        }
-        out.push_str("]}");
-        out
+    /// `{"diagnostics": [...], "errors": N, "warnings": N}`, each
+    /// diagnostic as `{"context", "message", "name", "rule", "severity",
+    /// "subject"}`. The `lint --json` binary and the service's lint
+    /// responses both emit exactly this shape.
+    pub fn to_json(&self) -> Json {
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj([
+                    ("rule", Json::str(d.rule.code())),
+                    ("name", Json::str(d.rule.name())),
+                    ("severity", Json::str(d.severity.label())),
+                    ("context", Json::str(d.context.clone())),
+                    ("subject", Json::str(d.subject.clone())),
+                    ("message", Json::str(d.message.clone())),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("errors", Json::num(self.error_count() as f64)),
+            ("warnings", Json::num(self.count(Severity::Warning) as f64)),
+            ("diagnostics", Json::Arr(diagnostics)),
+        ])
     }
-}
 
-/// JSON string literal with escaping (the same minimal escape set the
-/// service's hand-rolled parser understands).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    /// [`to_json`](Self::to_json) serialized compactly.
+    pub fn to_json_string(&self) -> String {
+        self.to_json().to_string()
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -377,7 +358,6 @@ mod tests {
 
     #[test]
     fn json_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
         let mut report = LintReport::new();
         report.push(Diagnostic::new(Rule::BadResistor, "c\"x", "s", "m"));
         let json = report.to_json_string();

@@ -1,11 +1,12 @@
-//! A minimal JSON value type, parser, and serializer.
+//! A minimal JSON value type, parser, and serializer — the workspace's
+//! one JSON codec.
 //!
-//! Hand-rolled in keeping with the workspace's zero-dependency policy (the
-//! defect-campaign checkpoint serializer set the precedent). The parser is
-//! a straightforward recursive-descent over the full JSON grammar — unlike
-//! the checkpoint loader's flat field scanner, job specs and API responses
-//! contain nested objects and arbitrary strings, so a real parser is
-//! required. It is strict (trailing garbage, unterminated literals, and
+//! Hand-rolled in keeping with the workspace's zero-dependency policy, and
+//! kept in this lowest crate so every layer above it (checkpoints, job
+//! specs, API responses, lint reports, trace spans, benchmark output)
+//! shares one parser and one string escaper ([`write_json_string`]). The
+//! parser is a straightforward recursive descent over the full JSON
+//! grammar. It is strict (trailing garbage, unterminated literals, and
 //! over-deep nesting are errors) because a job spec that does not parse
 //! must be rejected with a 400, never guessed at.
 
@@ -15,6 +16,9 @@ use std::fmt;
 /// Nesting depth cap: a spec is a couple of levels deep; anything beyond
 /// this is hostile or corrupt input, not a campaign spec.
 const MAX_DEPTH: usize = 32;
+
+/// 2^53: the first integer an `f64` cannot distinguish from its successor.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,11 +97,13 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is a number with an
-    /// exact `u64` representation.
+    /// The value as a non-negative integer, if it is a whole number below
+    /// 2^53. At 2^53 and above an `f64` no longer tells neighbouring
+    /// integers apart (`9007199254740993` parses to `2^53`), so such
+    /// values are refused rather than silently rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < MAX_EXACT_INT => Some(*n as u64),
             _ => None,
         }
     }
@@ -187,20 +193,25 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes `s` as a quoted JSON string literal: `"` and `\\` are
+/// backslash-escaped, `\n`/`\r`/`\t` use their short forms, and every
+/// other control character becomes `\u00XX`. Works on any [`fmt::Write`]
+/// sink, so hand-laid-out writers (trace spans, benchmark reports) escape
+/// exactly as [`Json`]'s `Display` does.
+pub fn write_json_string<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for ch in s.chars() {
         match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    out.write_char('"')
 }
 
 struct Parser<'a> {
@@ -509,10 +520,30 @@ mod tests {
     }
 
     #[test]
+    fn escaper_writes_exact_bytes() {
+        for (input, expected) in [
+            ("a\"b\\c", r#""a\"b\\c""#),
+            ("a\"b\\c\nd", r#""a\"b\\c\nd""#),
+            ("\r\t\u{1}\u{1f} →", r#""\r\t\u0001\u001f →""#),
+        ] {
+            let mut out = String::new();
+            write_json_string(&mut out, input).unwrap();
+            assert_eq!(out, expected);
+            assert_eq!(Json::str(input).to_string(), expected);
+        }
+    }
+
+    #[test]
     fn u64_conversion_is_exact_or_none() {
         assert_eq!(Json::Num(42.0).as_u64(), Some(42));
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
+        let max = (1u64 << 53) - 1;
+        assert_eq!(Json::parse(&max.to_string()).unwrap().as_u64(), Some(max));
+        // 2^53 + 1 parses to the f64 2^53: refused, not rounded.
+        for text in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(Json::parse(text).unwrap().as_u64(), None, "{text}");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! The measurement substrate for the whole workspace: a lock-sharded
 //! **metrics registry** (counters, gauges, fixed-bucket histograms) plus
-//! **span-based tracing** with a bounded ring-buffer exporter. Hand-rolled
-//! on `std` like everything else in the repo — no `prometheus`, no
-//! `tracing`, no `opentelemetry`.
+//! **span-based tracing** with a bounded ring-buffer exporter, and the
+//! workspace's one **JSON codec** ([`json`]). Hand-rolled on `std` like
+//! everything else in the repo — no `prometheus`, no `tracing`, no
+//! `opentelemetry`, no `serde`.
 //!
 //! ## Design constraints
 //!
@@ -53,6 +54,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod fault;
+pub mod json;
 pub mod metrics;
 pub mod span;
 

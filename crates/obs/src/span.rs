@@ -22,6 +22,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::enabled;
+use crate::json::write_json_string;
 
 /// Default ring capacity, in events.
 pub const DEFAULT_RING_CAPACITY: usize = 16_384;
@@ -50,42 +51,23 @@ impl TraceEvent {
     /// `chrome://tracing` Trace Event Format JSON.
     pub fn to_json_line(&self) -> String {
         let mut line = String::with_capacity(128);
+        line.push_str(r#"{"name":"#);
+        let _ = write_json_string(&mut line, self.name);
         let _ = write!(
             line,
-            r#"{{"name":"{}","cat":"symbist","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{"span":{}"#,
-            escape_json(self.name),
-            self.start_us,
-            self.dur_us,
-            self.thread_id,
-            self.span_id
+            r#","cat":"symbist","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{"span":{}"#,
+            self.start_us, self.dur_us, self.thread_id, self.span_id
         );
         if let Some(parent) = self.parent_id {
             let _ = write!(line, r#","parent":{parent}"#);
         }
         if let Some(scope) = &self.scope {
-            let _ = write!(line, r#","scope":"{}""#, escape_json(scope));
+            line.push_str(r#","scope":"#);
+            let _ = write_json_string(&mut line, scope);
         }
         line.push_str("}}");
         line
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The bounded global event ring.

@@ -27,7 +27,7 @@
 //!   `symbist::faultplan`. Injections are counted on
 //!   `symbist_fault_injections_total`.
 //!
-//! The process exits after `POST /shutdown` finishes draining: running
+//! The process exits after `POST /v1/shutdown` finishes draining: running
 //! campaigns stop at the next defect boundary with every completed record
 //! checkpointed, and restarting with the same `--data-dir` resumes them.
 
@@ -173,7 +173,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "serve: listening on http://{} (POST /shutdown to drain and exit)",
+        "serve: listening on http://{} (POST /v1/shutdown to drain and exit)",
         server.addr()
     );
     server.wait();

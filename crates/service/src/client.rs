@@ -32,8 +32,8 @@ use symbist_dut::DutSpec;
 
 use crate::backoff::{Backoff, DEFAULT_BASE, DEFAULT_CAP};
 use crate::job::JobId;
-use crate::json::Json;
 use crate::spec::JobSpec;
+use crate::Json;
 
 /// A non-2xx response, parsed from the service's typed error envelope
 /// (`{"error": {"code", "message", ...}}`) into the matching variant.
@@ -79,8 +79,6 @@ pub enum ServiceError {
     },
     /// `503 draining`: the service is shutting down.
     Draining(String),
-    /// `308 moved_permanently`: a deprecated unversioned path was used.
-    MovedPermanently(String),
     /// Any other status/code pair, including codes newer than this client.
     Other {
         /// HTTP status code.
@@ -105,7 +103,6 @@ impl ServiceError {
             ServiceError::LintFailed { .. } => 422,
             ServiceError::Saturated { .. } => 429,
             ServiceError::QueueFull { .. } | ServiceError::Draining(_) => 503,
-            ServiceError::MovedPermanently(_) => 308,
             ServiceError::Other { status, .. } => *status,
         }
     }
@@ -163,7 +160,6 @@ impl ServiceError {
                 retry_after,
             },
             "draining" => ServiceError::Draining(message),
-            "moved_permanently" => ServiceError::MovedPermanently(message),
             _ => ServiceError::Other {
                 status,
                 code,
@@ -186,7 +182,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Saturated { message, .. } => write!(f, "saturated: {message}"),
             ServiceError::QueueFull { message, .. } => write!(f, "queue full: {message}"),
             ServiceError::Draining(m) => write!(f, "draining: {m}"),
-            ServiceError::MovedPermanently(m) => write!(f, "moved permanently: {m}"),
             ServiceError::Other {
                 status,
                 code,
@@ -353,23 +348,6 @@ impl Client {
     /// Starts a [`ClientBuilder`] targeting the `/v1` API by default.
     pub fn builder() -> ClientBuilder {
         ClientBuilder::default()
-    }
-
-    /// Creates a client for `addr` (e.g. `"127.0.0.1:7171"`), targeting
-    /// the `/v1` API with default timeout and no retries.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use Client::builder().base_url(addr).build() instead"
-    )]
-    pub fn new(addr: impl Into<String>) -> Client {
-        Client::builder().base_url(addr).build()
-    }
-
-    /// Overrides the per-request read timeout; prefer
-    /// [`ClientBuilder::timeout`].
-    pub fn with_timeout(mut self, timeout: Duration) -> Client {
-        self.timeout = timeout;
-        self
     }
 
     fn url(&self, path: &str) -> String {

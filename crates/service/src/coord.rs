@@ -48,8 +48,8 @@ use symbist_defects::{CampaignResult, Coverage, DefectRecord};
 use crate::backoff::{Backoff, DEFAULT_BASE, DEFAULT_CAP};
 use crate::client::{Client, ClientError, ServiceError};
 use crate::job::JobId;
-use crate::json::Json;
 use crate::spec::JobSpec;
+use crate::Json;
 
 /// Coordinator configuration.
 #[derive(Debug, Clone)]

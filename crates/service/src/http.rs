@@ -13,16 +13,13 @@
 //! * **`429`** — the bounded handler pool is saturated. The acceptor
 //!   thread never queues more than `ServiceConfig::backlog` connections;
 //!   beyond that it answers `429 Too Many Requests` inline and closes.
-//! * **`503`** — the job queue is full (or draining). `POST /jobs` maps
+//! * **`503`** — the job queue is full (or draining). `POST /v1/jobs` maps
 //!   [`SubmitError::QueueFull`] to `503 Service Unavailable` with a
 //!   `Retry-After` hint; accepted connections are unaffected.
 //!
 //! # Endpoints (v1)
 //!
-//! All routes live under the `/v1` prefix. The pre-versioning paths
-//! answer `308 Permanent Redirect` with a `Location: /v1{path}` and a
-//! `Deprecation: true` header, so old clients keep working while new
-//! ones never learn the legacy names.
+//! All routes live under the `/v1` prefix; any other path is a `404`.
 //!
 //! | Method/path                 | Purpose                                  |
 //! |-----------------------------|------------------------------------------|
@@ -44,12 +41,11 @@
 //!
 //! # Errors
 //!
-//! Every non-2xx response (including the 308 redirects) carries one JSON
-//! envelope: `{"error": {"code", "message", "retry_after?",
-//! "diagnostics?"}}`. `code` is a stable machine-readable slug (see
-//! [`ApiError`]); `retry_after`, when present, duplicates the
-//! `Retry-After` header in seconds; `diagnostics` carries structured
-//! detail (currently: the lint report on `422`).
+//! Every non-2xx response carries one JSON envelope: `{"error": {"code",
+//! "message", "retry_after?", "diagnostics?"}}`. `code` is a stable
+//! machine-readable slug (see [`ApiError`]); `retry_after`, when present,
+//! duplicates the `Retry-After` header in seconds; `diagnostics` carries
+//! structured detail (currently: the lint report on `422`).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,9 +62,9 @@ use symbist_dut::{DutEntry, DutSpec, InvarianceKind, UploadError};
 
 use crate::backend::CampaignBackend;
 use crate::job::{JobId, JobState, Registry, SubmitError};
-use crate::json::Json;
 use crate::spec::JobSpec;
 use crate::worker::WorkerPool;
+use crate::Json;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -189,14 +185,14 @@ impl Server {
         &self.shared.registry
     }
 
-    /// Requests a graceful shutdown, as `POST /shutdown` does. Returns
+    /// Requests a graceful shutdown, as `POST /v1/shutdown` does. Returns
     /// immediately; [`wait`](Self::wait) performs the actual drain.
     pub fn request_shutdown(&self) {
         self.shared.request_shutdown();
     }
 
     /// Blocks until shutdown is requested (via
-    /// [`request_shutdown`](Self::request_shutdown) or `POST /shutdown`),
+    /// [`request_shutdown`](Self::request_shutdown) or `POST /v1/shutdown`),
     /// then drains: running jobs are cancelled to their checkpoints and
     /// persisted as `queued`, in-flight responses finish, and every
     /// thread joins. After this returns, a new server on the same data
@@ -245,7 +241,6 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, stop: &AtomicBo
                 let _ = write_error(
                     &mut stream,
                     &ApiError::new(429, "saturated", "handler pool saturated").with_retry_after(1),
-                    &[],
                 );
                 // The request was never read, so a plain close would RST
                 // the connection and could destroy the in-flight 429.
@@ -364,7 +359,6 @@ fn status_reason(status: u16) -> &'static str {
         200 => "OK",
         201 => "Created",
         202 => "Accepted",
-        308 => "Permanent Redirect",
         400 => "Bad Request",
         403 => "Forbidden",
         404 => "Not Found",
@@ -386,7 +380,7 @@ fn status_reason(status: u16) -> &'static str {
 /// never on `message` text. The codes in use: `bad_request`, `not_found`,
 /// `method_not_allowed`, `conflict`, `payload_too_large`, `lint_failed`,
 /// `saturated`, `header_too_large`, `queue_full`, `draining`,
-/// `moved_permanently`, `quota_exceeded`, `internal`.
+/// `quota_exceeded`, `internal`.
 ///
 /// `quota_exceeded` is deliberately a `403`, not a `429`: the client's
 /// retry policy treats `429` as transient saturation and retries with
@@ -453,49 +447,10 @@ impl ApiError {
 
 /// Writes an [`ApiError`] envelope; `retry_after` doubles as the
 /// `Retry-After` header.
-fn write_error(
-    stream: &mut TcpStream,
-    error: &ApiError,
-    extra_headers: &[(&str, &str)],
-) -> std::io::Result<u16> {
+fn write_error(stream: &mut TcpStream, error: &ApiError) -> std::io::Result<u16> {
     let retry = error.retry_after.map(|s| s.to_string());
-    let mut headers: Vec<(&str, &str)> = Vec::with_capacity(extra_headers.len() + 1);
-    if let Some(retry) = &retry {
-        headers.push(("Retry-After", retry));
-    }
-    headers.extend_from_slice(extra_headers);
+    let headers: Vec<(&str, &str)> = retry.iter().map(|r| ("Retry-After", r.as_str())).collect();
     write_response(stream, error.status, &headers, error.envelope())
-}
-
-/// Renders a lint report as the service's JSON diagnostics shape (the
-/// same fields the `lint --json` binary emits).
-fn lint_json(report: &symbist_lint::LintReport) -> Json {
-    Json::obj([
-        ("errors", Json::num(report.error_count() as f64)),
-        (
-            "warnings",
-            Json::num(report.count(symbist_lint::Severity::Warning) as f64),
-        ),
-        (
-            "diagnostics",
-            Json::Arr(
-                report
-                    .diagnostics()
-                    .iter()
-                    .map(|d| {
-                        Json::obj([
-                            ("rule", Json::str(d.rule.code())),
-                            ("name", Json::str(d.rule.name())),
-                            ("severity", Json::str(d.severity.label())),
-                            ("context", Json::str(d.context.clone())),
-                            ("subject", Json::str(d.subject.clone())),
-                            ("message", Json::str(d.message.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 fn write_response(
@@ -571,7 +526,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 431 => "header_too_large",
                 _ => "bad_request",
             };
-            let written = write_error(&mut stream, &ApiError::new(status, code, message), &[]);
+            let written = write_error(&mut stream, &ApiError::new(status, code, message));
             record_request_metrics(written, start);
             return;
         }
@@ -590,7 +545,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Some(symbist_obs::FaultAction::Reject) => {
                 let error = ApiError::new(503, "queue_full", "fault-injected transient rejection")
                     .with_retry_after(1);
-                let written = write_error(&mut stream, &error, &[]);
+                let written = write_error(&mut stream, &error);
                 record_request_metrics(written, start);
                 return;
             }
@@ -638,38 +593,8 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Shared) -> std::io:
     let path = request.path.as_str();
     match path.strip_prefix("/v1") {
         Some(rest) if rest.starts_with('/') => route_v1(stream, method, rest, request, shared),
-        Some(_) => write_error(stream, &ApiError::not_found("no such route"), &[]),
-        None if is_legacy_route(path) => redirect_to_v1(stream, path),
-        None => write_error(stream, &ApiError::not_found("no such route"), &[]),
+        _ => write_error(stream, &ApiError::not_found("no such route")),
     }
-}
-
-/// Whether a pre-versioning path deserves a `308` onto its `/v1` twin.
-/// Unknown paths fall through to a plain `404` — redirecting them would
-/// turn every typo into a misleading "deprecated route" signal.
-fn is_legacy_route(path: &str) -> bool {
-    matches!(path, "/healthz" | "/stats" | "/jobs" | "/shutdown")
-        || path.starts_with("/jobs/")
-        || path.starts_with("/report/")
-        || path.starts_with("/lint/")
-}
-
-/// `308 Permanent Redirect` preserves the method and body, so a legacy
-/// `POST /jobs` replays correctly against `/v1/jobs`. The `Deprecation`
-/// header marks the old name; the envelope body serves clients that do
-/// not follow redirects.
-fn redirect_to_v1(stream: &mut TcpStream, path: &str) -> std::io::Result<u16> {
-    let location = format!("/v1{path}");
-    let error = ApiError::new(
-        308,
-        "moved_permanently",
-        format!("unversioned paths are deprecated; use {location}"),
-    );
-    write_error(
-        stream,
-        &error,
-        &[("Location", &location), ("Deprecation", "true")],
-    )
 }
 
 fn route_v1(
@@ -739,13 +664,13 @@ fn route_job(
     if let Some((id, tail)) = parse_job_path(path, "/report/") {
         return match (method, tail) {
             ("GET", None) => report(stream, id, shared),
-            _ => write_error(stream, &ApiError::method_not_allowed(), &[]),
+            _ => write_error(stream, &ApiError::method_not_allowed()),
         };
     }
     if let Some((id, tail)) = parse_job_path(path, "/lint/") {
         return match (method, tail) {
             ("GET", None) => lint_report(stream, id, shared),
-            _ => write_error(stream, &ApiError::method_not_allowed(), &[]),
+            _ => write_error(stream, &ApiError::method_not_allowed()),
         };
     }
     if let Some(reference) = path.strip_prefix("/duts/") {
@@ -753,18 +678,18 @@ fn route_job(
             if !reference.is_empty() && !reference.contains('/') {
                 return match method {
                     "GET" => dut_analysis(stream, reference, shared),
-                    _ => write_error(stream, &ApiError::method_not_allowed(), &[]),
+                    _ => write_error(stream, &ApiError::method_not_allowed()),
                 };
             }
         }
         return match (method, reference.contains('/')) {
             ("GET", false) => get_dut(stream, reference, shared),
-            (_, false) => write_error(stream, &ApiError::method_not_allowed(), &[]),
-            _ => write_error(stream, &ApiError::not_found("no such route"), &[]),
+            (_, false) => write_error(stream, &ApiError::method_not_allowed()),
+            _ => write_error(stream, &ApiError::not_found("no such route")),
         };
     }
     let Some((id, tail)) = parse_job_path(path, "/jobs/") else {
-        return write_error(stream, &ApiError::not_found("no such route"), &[]);
+        return write_error(stream, &ApiError::not_found("no such route"));
     };
     match (method, tail) {
         ("GET", None) => job_status(stream, id, shared),
@@ -772,9 +697,9 @@ fn route_job(
         ("GET", Some("trace")) => job_trace(stream, id, shared),
         ("DELETE", None) => cancel_job(stream, id, shared),
         (_, None | Some("results" | "trace")) => {
-            write_error(stream, &ApiError::method_not_allowed(), &[])
+            write_error(stream, &ApiError::method_not_allowed())
         }
-        _ => write_error(stream, &ApiError::not_found("no such route"), &[]),
+        _ => write_error(stream, &ApiError::not_found("no such route")),
     }
 }
 
@@ -785,16 +710,15 @@ fn submit_job(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             return write_error(
                 stream,
                 &ApiError::new(400, "bad_request", "expected a JSON job spec body"),
-                &[],
             )
         }
     };
     let spec = match JobSpec::from_json_text(text) {
         Ok(spec) => spec,
-        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0), &[]),
+        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0)),
     };
     if let Err(e) = shared.backend.validate(&spec) {
-        return write_error(stream, &ApiError::new(400, "bad_request", e.0), &[]);
+        return write_error(stream, &ApiError::new(400, "bad_request", e.0));
     }
     // Static pre-flight: a DUT/universe that fails Error-level lints
     // would burn a worker slot on a campaign doomed to NoConvergence or
@@ -806,8 +730,8 @@ fn submit_job(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             "lint_failed",
             "pre-flight lint failed: the DUT or defect universe is structurally broken",
         )
-        .with_diagnostics(lint_json(&lint));
-        return write_error(stream, &error, &[]);
+        .with_diagnostics(lint.to_json());
+        return write_error(stream, &error);
     }
     match shared.registry.submit(spec) {
         Ok(job) => write_response(
@@ -822,10 +746,9 @@ fn submit_job(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
         Err(e @ SubmitError::QueueFull { .. }) => write_error(
             stream,
             &ApiError::new(503, "queue_full", e.to_string()).with_retry_after(1),
-            &[],
         ),
         Err(e @ SubmitError::Draining) => {
-            write_error(stream, &ApiError::new(503, "draining", e.to_string()), &[])
+            write_error(stream, &ApiError::new(503, "draining", e.to_string()))
         }
     }
 }
@@ -863,7 +786,7 @@ fn dut_json(entry: &DutEntry, detail: bool) -> Json {
         ("invariances", Json::Arr(invariances)),
     ];
     if detail {
-        fields.push(("lint", lint_json(&entry.lint)));
+        fields.push(("lint", entry.lint.to_json()));
     }
     Json::obj(fields)
 }
@@ -876,7 +799,6 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
         return write_error(
             stream,
             &ApiError::not_found("this server has no DUT registry"),
-            &[],
         );
     };
     let text = match std::str::from_utf8(body) {
@@ -885,13 +807,12 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
             return write_error(
                 stream,
                 &ApiError::new(400, "bad_request", "expected a JSON DUT spec body"),
-                &[],
             )
         }
     };
     let spec = match DutSpec::from_json_text(text) {
         Ok(spec) => spec,
-        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0), &[]),
+        Err(e) => return write_error(stream, &ApiError::new(400, "bad_request", e.0)),
     };
     match registry.upload(spec) {
         Ok(outcome) => {
@@ -910,28 +831,19 @@ fn upload_dut(stream: &mut TcpStream, body: &[u8], shared: &Shared) -> std::io::
                 "DUT rejected by lint preflight: the netlist or its defect \
                  universe is structurally broken",
             )
-            .with_diagnostics(lint_json(&report));
-            write_error(stream, &error, &[])
+            .with_diagnostics(report.to_json());
+            write_error(stream, &error)
         }
         Err(e @ UploadError::Quota { .. }) => {
             // 403, not 429: quota exhaustion is not transient, so the
             // client's backoff-and-retry loop must not touch it.
-            write_error(
-                stream,
-                &ApiError::new(403, "quota_exceeded", e.to_string()),
-                &[],
-            )
+            write_error(stream, &ApiError::new(403, "quota_exceeded", e.to_string()))
         }
         Err(UploadError::Io(e)) => write_error(
             stream,
             &ApiError::new(500, "internal", format!("registry persistence failed: {e}")),
-            &[],
         ),
-        Err(e) => write_error(
-            stream,
-            &ApiError::new(400, "bad_request", e.to_string()),
-            &[],
-        ),
+        Err(e) => write_error(stream, &ApiError::new(400, "bad_request", e.to_string())),
     }
 }
 
@@ -941,7 +853,6 @@ fn list_duts(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<u16> {
         return write_error(
             stream,
             &ApiError::not_found("this server has no DUT registry"),
-            &[],
         );
     };
     let duts: Vec<Json> = registry
@@ -959,12 +870,11 @@ fn get_dut(stream: &mut TcpStream, reference: &str, shared: &Shared) -> std::io:
         return write_error(
             stream,
             &ApiError::not_found("this server has no DUT registry"),
-            &[],
         );
     };
     match registry.get(reference) {
         Some(entry) => write_response(stream, 200, &[], dut_json(&entry, true)),
-        None => write_error(stream, &ApiError::not_found("no such DUT"), &[]),
+        None => write_error(stream, &ApiError::not_found("no such DUT")),
     }
 }
 
@@ -979,36 +889,24 @@ fn dut_analysis(stream: &mut TcpStream, reference: &str, shared: &Shared) -> std
         ..JobSpec::default()
     };
     match shared.backend.analysis(&spec) {
-        Some(report) => match Json::parse(&report.to_json_string()) {
-            Ok(body) => write_response(stream, 200, &[], body),
-            Err(e) => write_error(
-                stream,
-                &ApiError::new(500, "internal", format!("analysis rendering failed: {e}")),
-                &[],
-            ),
-        },
-        None => write_error(
-            stream,
-            &ApiError::not_found("no analysis for this DUT"),
-            &[],
-        ),
+        Some(report) => write_response(stream, 200, &[], report.to_json()),
+        None => write_error(stream, &ApiError::not_found("no analysis for this DUT")),
     }
 }
 
 fn job_status(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     match shared.registry.get(id) {
         Some(job) => write_response(stream, 200, &[], job.status().to_json()),
-        None => write_error(stream, &ApiError::not_found("no such job"), &[]),
+        None => write_error(stream, &ApiError::not_found("no such job")),
     }
 }
 
 fn cancel_job(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     match shared.registry.get(id) {
-        None => write_error(stream, &ApiError::not_found("no such job"), &[]),
+        None => write_error(stream, &ApiError::not_found("no such job")),
         Some(job) if job.state().is_terminal() => write_error(
             stream,
             &ApiError::new(409, "conflict", "job already finished"),
-            &[],
         ),
         Some(job) => {
             shared.registry.cancel(id);
@@ -1034,23 +932,21 @@ fn cancel_job(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Re
 fn lint_report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     match shared.registry.get(id) {
         Some(job) => {
-            let mut body = lint_json(&shared.backend.preflight(&job.spec));
-            if let Some(analysis) = shared.backend.analysis(&job.spec) {
-                if let (Json::Obj(map), Ok(summary)) =
-                    (&mut body, Json::parse(&analysis.summary_json()))
-                {
-                    map.insert("analysis".into(), summary);
-                }
+            let mut body = shared.backend.preflight(&job.spec).to_json();
+            if let (Json::Obj(map), Some(analysis)) =
+                (&mut body, shared.backend.analysis(&job.spec))
+            {
+                map.insert("analysis".into(), analysis.summary());
             }
             write_response(stream, 200, &[], body)
         }
-        None => write_error(stream, &ApiError::not_found("no such job"), &[]),
+        None => write_error(stream, &ApiError::not_found("no such job")),
     }
 }
 
 fn report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     let Some(job) = shared.registry.get(id) else {
-        return write_error(stream, &ApiError::not_found("no such job"), &[]);
+        return write_error(stream, &ApiError::not_found("no such job"));
     };
     match (job.state(), job.report()) {
         (JobState::Completed, Some(report)) => write_response(stream, 200, &[], report.to_json()),
@@ -1061,7 +957,6 @@ fn report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result
                 "conflict",
                 format!("no report: job is {}", state.label()),
             ),
-            &[],
         ),
     }
 }
@@ -1072,7 +967,7 @@ fn report(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result
 /// old jobs' spans — recent jobs are the ones worth inspecting.
 fn job_trace(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     if shared.registry.get(id).is_none() {
-        return write_error(stream, &ApiError::not_found("no such job"), &[]);
+        return write_error(stream, &ApiError::not_found("no such job"));
     }
     let scope = format!("job-{id}");
     let mut body = String::new();
@@ -1089,7 +984,7 @@ fn job_trace(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Res
 /// stream is byte-identical to the job's checkpoint modulo record order.
 fn stream_results(stream: &mut TcpStream, id: JobId, shared: &Shared) -> std::io::Result<u16> {
     let Some(job) = shared.registry.get(id) else {
-        return write_error(stream, &ApiError::not_found("no such job"), &[]);
+        return write_error(stream, &ApiError::not_found("no such job"));
     };
     // A client that vanishes mid-stream (broken pipe on a write below) is
     // routine, not an error: count it, release the handler slot, and move

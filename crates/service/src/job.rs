@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 use symbist_defects::checkpoint::parse_checkpoint_line;
 use symbist_defects::{CampaignMonitor, CampaignResult, DefectRecord, UnresolvedCounts};
 
-use crate::json::Json;
 use crate::spec::JobSpec;
+use crate::Json;
 
 /// Job identifier: dense integers assigned at submit time, stable across
 /// restarts (recovery continues after the highest persisted id).
@@ -105,7 +105,7 @@ pub struct JobProgress {
     pub unresolved: UnresolvedCounts,
 }
 
-/// Summary of a finished campaign, served by `GET /report/{id}`.
+/// Summary of a finished campaign, served by `GET /v1/report/{id}`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Defects simulated (including resumed records).
@@ -208,7 +208,7 @@ impl JobReport {
     }
 }
 
-/// A point-in-time view of a job, serializable for `GET /jobs/{id}`.
+/// A point-in-time view of a job, serializable for `GET /v1/jobs/{id}`.
 #[derive(Debug, Clone)]
 pub struct JobStatus {
     /// The job id.
@@ -491,7 +491,7 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Aggregate service counters for `GET /stats`.
+/// Aggregate service counters for `GET /v1/stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RegistryStats {
     /// Jobs waiting in the queue.

@@ -4,22 +4,24 @@
 //! runner: clients submit campaign specs over HTTP, a bounded worker pool
 //! runs them with per-job panic isolation, and results stream back as
 //! NDJSON while the campaign is still running. Everything is hand-rolled
-//! on `std` — JSON, HTTP/1.1, thread pools — matching the repo's
-//! zero-dependency policy.
+//! on `std` — HTTP/1.1, thread pools — matching the repo's zero-dependency
+//! policy. JSON goes through the workspace's one codec,
+//! `symbist_obs::json`; [`Json`] and [`JsonError`] are re-exported here
+//! because the client and job APIs carry them.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!           POST /jobs            bounded FIFO           fixed threads
+//!         POST /v1/jobs           bounded FIFO           fixed threads
 //! client ──► HTTP front-end ────► job Registry ─────────► WorkerPool
 //!   ▲          (http.rs)           (job.rs)                (worker.rs)
 //!   │                                  │ JobMonitor            │
-//!   └── GET /jobs/{id}/results ◄───────┘ per-record       CampaignBackend
+//!   └─ GET /v1/jobs/{id}/results ◄─────┘ per-record       CampaignBackend
 //!        NDJSON, follows live          publishing          (backend.rs)
 //! ```
 //!
 //! Backpressure is explicit at both admission points: a full job queue
-//! rejects `POST /jobs` with `503`, a saturated handler pool refuses
+//! rejects `POST /v1/jobs` with `503`, a saturated handler pool refuses
 //! connections with `429`. Graceful shutdown drains running campaigns to
 //! their JSONL checkpoints and persists them as `queued`, so a restarted
 //! server on the same data directory resumes them and produces records
@@ -61,7 +63,6 @@ pub mod coord;
 pub mod dut_backend;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod spec;
 pub mod worker;
 
@@ -74,6 +75,6 @@ pub use http::{Server, ServiceConfig};
 pub use job::{
     Job, JobId, JobProgress, JobReport, JobState, JobStatus, Registry, RegistryStats, SubmitError,
 };
-pub use json::{Json, JsonError};
 pub use spec::{JobSpec, SpecError};
+pub use symbist_obs::json::{Json, JsonError};
 pub use worker::WorkerPool;

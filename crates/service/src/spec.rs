@@ -1,4 +1,4 @@
-//! The campaign job spec: what `POST /jobs` accepts.
+//! The campaign job spec: what `POST /v1/jobs` accepts.
 //!
 //! A spec is a flat JSON object selecting a defect population and the
 //! campaign knobs the paper's evaluation flow exposes:
@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use symbist_defects::CampaignOptions;
 
-use crate::json::Json;
+use crate::Json;
 
 /// A validated campaign job specification.
 #[derive(Debug, Clone, PartialEq)]

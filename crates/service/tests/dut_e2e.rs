@@ -20,8 +20,8 @@ use symbist_service::client::{Client, ClientError, ServiceError};
 use symbist_service::coord::{run_coordinator, CoordConfig};
 use symbist_service::dut_backend::GenericBackend;
 use symbist_service::http::{Server, ServiceConfig};
-use symbist_service::json::Json;
 use symbist_service::spec::JobSpec;
+use symbist_service::Json;
 
 const POLL: Duration = Duration::from_millis(10);
 

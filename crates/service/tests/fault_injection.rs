@@ -16,8 +16,8 @@ use symbist_obs::FaultPlan;
 use symbist_service::backend::{CampaignBackend, Gate, SyntheticBackend};
 use symbist_service::client::{Client, ClientError, ServiceError};
 use symbist_service::http::{Server, ServiceConfig};
-use symbist_service::json::Json;
 use symbist_service::spec::JobSpec;
+use symbist_service::Json;
 
 const POLL: Duration = Duration::from_millis(10);
 

@@ -40,7 +40,7 @@ fn main() {
     client.health().expect("service is healthy");
     println!("service listening on http://{}", server.addr());
 
-    // POST /jobs — an exhaustive campaign on one Table-I row.
+    // POST /v1/jobs — an exhaustive campaign on one Table-I row.
     let spec = JobSpec {
         block: Some("Vcm Generator".into()),
         seed: 7,
@@ -53,14 +53,14 @@ fn main() {
         "Vcm Generator"
     );
 
-    // GET /jobs/{id} — one status poll while the campaign runs.
+    // GET /v1/jobs/{id} — one status poll while the campaign runs.
     let status = client.status(id).expect("job status");
     println!(
         "state after submit: {}",
         status.get("state").and_then(Json::as_str).unwrap_or("?")
     );
 
-    // GET /jobs/{id}/results — NDJSON, each line a checkpoint record,
+    // GET /v1/jobs/{id}/results — NDJSON, each line a checkpoint record,
     // streamed live and following the job to its terminal state.
     println!("\n{:<8} {:>12} {:>12}", "defect", "likelihood", "verdict");
     let mut detected = 0usize;
@@ -80,7 +80,7 @@ fn main() {
         );
     }
 
-    // GET /report/{id} — the L-W coverage bounds with 95 % CI.
+    // GET /v1/report/{id} — the L-W coverage bounds with 95 % CI.
     let (state, _) = client
         .wait_terminal(id, Duration::from_millis(20))
         .expect("job reaches a terminal state");
@@ -99,7 +99,7 @@ fn main() {
         bound("upper") * 100.0,
     );
 
-    // POST /shutdown — drain and exit; no jobs are in flight, so this
+    // POST /v1/shutdown — drain and exit; no jobs are in flight, so this
     // returns promptly.
     client.shutdown().expect("request shutdown");
     server.wait();
