@@ -12,9 +12,10 @@
 //! * every physical catalog component of the bandgap, reference buffer,
 //!   ladder, both sub-DAC muxes (all 33 taps, conducting or not, plus
 //!   their select drivers and decoder bits), the SC array, and the Vcm
-//!   generator is bound to a concrete device — except the dead end taps
-//!   (P/tap32, N/tap0), which the conversion sweep never selects and
-//!   whose sweep behavior a single-code netlist cannot express — and
+//!   generator is bound to a concrete device — except the mux taps no
+//!   code of the conversion sweep selects ([`MuxSide::selected_tap`]:
+//!   P/tap32 and N/tap0), whose sweep behavior a single-code netlist
+//!   cannot express — and
 //! * the P/N mirror of each differential branch is an *automorphism* of
 //!   the graph — both mux sides decode the same symmetric code, both SC
 //!   sides sample the same common-mode input — so an orbit analyzer can
@@ -37,7 +38,7 @@ use symbist_circuit::netlist::{DeviceId, MosPolarity, Netlist, NodeId};
 use crate::adc::SarAdc;
 use crate::config::AdcConfig;
 use crate::fault::Faultable;
-use crate::refnet::{LADDER_RESISTORS, TAPS};
+use crate::refnet::{MuxSide, LADDER_RESISTORS, TAPS};
 use crate::symmetry::SYMMETRIC_CODE;
 
 /// Synthetic NMOS threshold for structural stand-ins.
@@ -55,20 +56,23 @@ const R_BIAS: f64 = 100e3;
 /// Unit resistor of the binary-weighted decoder summing leg.
 const R_DECODE: f64 = 1e3;
 
-/// One invariance as declared by the static model: a named set of
-/// observed nodes plus the reference taps its window comparator uses.
+/// One invariance as a static analyzer sees it: a named set of observed
+/// nodes (mutually symmetric — the invariance reads them interchangeably,
+/// as both `V_a + V_b` and `|V_a − V_b|` do) plus reference taps the
+/// checker compares against.
 #[derive(Debug, Clone)]
-pub struct StaticObservation {
-    /// Invariance name (`I1`, `I2`, `I3`).
+pub struct ObservedInvariance {
+    /// Invariance name (stable; used in diagnostics and class reports).
     pub name: String,
-    /// Kind tag (`complementary`, `dac-sum`).
+    /// Kind tag, e.g. `"complementary"` or `"replica"`.
     pub kind: String,
-    /// Whether the observed nodes are claimed mutually symmetric (P/N
-    /// mirror halves).
+    /// Whether the invariance *claims* structural symmetry between its
+    /// observed nodes (replica/FD halves). Only claiming invariances are
+    /// checked by `SYM-L052`.
     pub symmetric: bool,
-    /// Observed nodes.
+    /// The observed nodes (interchangeable under the invariance).
     pub observed: Vec<NodeId>,
-    /// Reference nodes.
+    /// Reference nodes (window-comparator references etc.).
     pub reference: Vec<NodeId>,
 }
 
@@ -82,7 +86,7 @@ pub struct AdcStaticModel {
     /// `None` for behavioral components with no structural stand-in.
     pub bindings: Vec<Option<DeviceId>>,
     /// The declared invariances over nodes of [`AdcStaticModel::netlist`].
-    pub observations: Vec<StaticObservation>,
+    pub observations: Vec<ObservedInvariance>,
 }
 
 impl AdcStaticModel {
@@ -261,6 +265,12 @@ fn emit_refbuf(
     taps
 }
 
+/// Whether some code of the 5-bit conversion sweep selects `tap` on the
+/// `side` mux.
+fn swept(side: MuxSide, tap: usize) -> bool {
+    (0..32u8).any(|code| side.selected_tap(code) == tap)
+}
+
 /// Emits one sub-DAC: two complementary 33:1 muxes (every tap present,
 /// with its transmission gate and select driver) plus the two 5-bit
 /// decoders, both sides decoding the same symmetric code so the P ↔ N
@@ -274,7 +284,10 @@ fn emit_subdac(
     vdd: NodeId,
     outs: (NodeId, NodeId),
 ) {
-    for (side, dec, out) in [("mux_p", "dec_p", outs.0), ("mux_n", "dec_n", outs.1)] {
+    for (mux, side, dec, out) in [
+        (MuxSide::P, "mux_p", "dec_p", outs.0),
+        (MuxSide::N, "mux_n", "dec_n", outs.1),
+    ] {
         // The decoders drive a per-side select bus through binary-weighted
         // summing legs — a structural abstraction of the 5→33 decode whose
         // per-bit weight keeps the bits in distinct orbits.
@@ -302,11 +315,9 @@ fn emit_subdac(
             bind(bound, format!("{prefix}/{dec}/bit{bit}/p"), p);
             nl.resistor(mid, bus, R_DECODE * f64::from(1u32 << bit));
         }
-        // One end tap per side is dead over the conversion sweep: a 5-bit
-        // code addresses taps 0..=31 on the P mux and 32−code = 1..=32 on
-        // the N mux, so P/tap32 and N/tap0 are never selected. The static
-        // netlist still emits them (removing them would break the P ↔ N
-        // automorphism for every *live* tap), but their components stay
+        // A tap no sweep code selects (P/tap32, N/tap0) is dead. The static
+        // netlist still emits it (removing it would break the P ↔ N
+        // automorphism for every *live* tap), but its components stay
         // UNBOUND: at the frozen symmetric code a dead tap is graph-
         // identical to its live mirror, yet its defects can behave
         // differently over the sweep (a stuck-off select driver on a tap
@@ -314,10 +325,10 @@ fn emit_subdac(
         // equivalence for them would extrapolate a lie. Unbound components
         // fall into per-component singleton classes and are simulated
         // individually.
-        let dead_tap = if side == "mux_p" { TAPS - 1 } else { 0 };
         for (tap, &tap_node) in taps.iter().enumerate() {
+            let live = swept(mux, tap);
             let bind_live = |bound: &mut BTreeMap<String, DeviceId>, name, dev| {
-                if tap != dead_tap {
+                if live {
                     bind(bound, name, dev);
                 }
             };
@@ -468,21 +479,21 @@ fn build_model(adc: &SarAdc) -> AdcStaticModel {
     );
 
     let observations = vec![
-        StaticObservation {
+        ObservedInvariance {
             name: "I1".into(),
             kind: "complementary".into(),
             symmetric: true,
             observed: vec![m_plus, m_minus],
             reference: vec![vref32],
         },
-        StaticObservation {
+        ObservedInvariance {
             name: "I2".into(),
             kind: "complementary".into(),
             symmetric: true,
             observed: vec![l_plus, l_minus],
             reference: vec![vref32],
         },
-        StaticObservation {
+        ObservedInvariance {
             name: "I3".into(),
             kind: "dac-sum".into(),
             symmetric: true,
@@ -515,6 +526,19 @@ mod tests {
     use super::*;
     use crate::fault::BlockKind;
 
+    /// The (side, tap) of a sub-DAC mux tap component, from its catalog
+    /// name `subdacK/mux_{p,n}/tapT/role`.
+    fn mux_tap(name: &str) -> Option<(MuxSide, usize)> {
+        let mut parts = name.split('/').skip(1);
+        let side = match parts.next()? {
+            "mux_p" => MuxSide::P,
+            "mux_n" => MuxSide::N,
+            _ => return None,
+        };
+        let tap = parts.next()?.strip_prefix("tap")?.parse().ok()?;
+        Some((side, tap))
+    }
+
     fn model() -> (SarAdc, AdcStaticModel) {
         let adc = SarAdc::new(AdcConfig::default());
         let model = adc.analysis_model();
@@ -536,8 +560,7 @@ mod tests {
             // Dead end taps are emitted but deliberately unbound: the sweep
             // never selects them, so their defects are not orbit-equivalent
             // to their live mirror's.
-            let dead_tap =
-                component.name.contains("/mux_p/tap32/") || component.name.contains("/mux_n/tap0/");
+            let dead_tap = mux_tap(&component.name).is_some_and(|(side, tap)| !swept(side, tap));
             assert_eq!(
                 binding.is_none(),
                 behavioral || dead_tap,

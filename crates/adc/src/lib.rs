@@ -56,7 +56,7 @@ pub mod symmetry;
 pub mod vcm;
 
 pub use adc::{AdcMismatch, SarAdc, TestObservation};
-pub use analysis::{AdcStaticModel, StaticObservation};
+pub use analysis::{AdcStaticModel, ObservedInvariance};
 pub use config::AdcConfig;
 pub use fault::{BlockKind, ComponentInfo, ComponentKind, DefectKind, DefectSite, Faultable};
 pub use symmetry::{seeds_by_name, subdac_fd_pair, FdPair};

@@ -223,6 +223,17 @@ pub enum MuxSide {
     N,
 }
 
+impl MuxSide {
+    /// The tap a 5-bit select code connects: `code` on the P mux and
+    /// `32 − code` on the N mux (the complementary outputs of Eq. 1).
+    pub fn selected_tap(self, code: u8) -> usize {
+        match self {
+            MuxSide::P => usize::from(code),
+            MuxSide::N => 32 - usize::from(code),
+        }
+    }
+}
+
 /// Electrical state of one tap switch after defect mapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum TapState {
@@ -513,11 +524,7 @@ fn emit_mux(
     code: u8,
     out: NodeId,
 ) {
-    let eff = sub.effective_code(side, code);
-    let selected = match side {
-        MuxSide::P => eff as usize,
-        MuxSide::N => 32 - eff as usize,
-    };
+    let selected = side.selected_tap(sub.effective_code(side, code));
     for tap in 0..TAPS {
         let tap_node = core.tap_nodes[tap];
         match sub.tap_state(side, tap, selected, cfg) {
@@ -645,6 +652,17 @@ mod tests {
             SubDac::new(BlockKind::SubDac1),
             SubDac::new(BlockKind::SubDac2),
         )
+    }
+
+    #[test]
+    fn sweep_selects_taps_0_to_31_on_p_and_1_to_32_on_n() {
+        let live = |side: MuxSide| -> Vec<usize> {
+            let mut taps: Vec<usize> = (0..32u8).map(|code| side.selected_tap(code)).collect();
+            taps.sort_unstable();
+            taps
+        };
+        assert_eq!(live(MuxSide::P), (0..=31).collect::<Vec<_>>());
+        assert_eq!(live(MuxSide::N), (1..=32).collect::<Vec<_>>());
     }
 
     #[test]

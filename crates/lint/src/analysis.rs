@@ -28,34 +28,16 @@
 
 use std::collections::BTreeMap;
 
+pub use symbist_adc::ObservedInvariance;
 use symbist_adc::SarAdc;
-use symbist_circuit::netlist::{Device, DeviceId, Netlist, NodeId};
+use symbist_circuit::netlist::{DeviceId, Netlist};
 use symbist_circuit::topology::DisjointSet;
 use symbist_defects::{DefectUniverse, LikelihoodModel};
 use symbist_obs::json::Json;
 
 use crate::diag::{Diagnostic, LintReport, Rule};
 use crate::orbit::{orbit_partition, OrbitPartition};
-
-/// One invariance as the analyzer sees it: a named set of observed nodes
-/// (mutually symmetric — the invariance reads them interchangeably, as
-/// both `V_a + V_b` and `|V_a − V_b|` do) plus reference taps the checker
-/// compares against.
-#[derive(Debug, Clone)]
-pub struct ObservedInvariance {
-    /// Invariance name (stable; used in diagnostics and class reports).
-    pub name: String,
-    /// Kind tag, e.g. `"complementary"` or `"replica"`.
-    pub kind: String,
-    /// Whether the invariance *claims* structural symmetry between its
-    /// observed nodes (replica/FD halves). Only claiming invariances are
-    /// checked by `SYM-L052`.
-    pub symmetric: bool,
-    /// The observed nodes (interchangeable under the invariance).
-    pub observed: Vec<NodeId>,
-    /// Reference nodes (window-comparator references etc.).
-    pub reference: Vec<NodeId>,
-}
+use crate::symmetry::node_label;
 
 /// Input to the analyzer: a netlist, the defect-catalog bindings, and the
 /// observed invariances.
@@ -464,122 +446,10 @@ pub fn analyze(model: &AnalysisModel<'_>, universe: &DefectUniverse) -> Analysis
     out
 }
 
-fn node_label(nl: &Netlist, node: NodeId) -> String {
-    match nl.node_name(node) {
-        Some(name) => name.to_string(),
-        None if node.is_ground() => "gnd".to_string(),
-        None => format!("n{}", node.index()),
-    }
-}
-
-/// Copies `src` into `dst`, returning the node mapping (`src` node index →
-/// `dst` node). Ground maps to ground; every other node gets a fresh
-/// anonymous node (names are deliberately dropped — orbit analysis is
-/// name-blind). Returns the device mapping in card order.
-fn splice_netlist(dst: &mut Netlist, src: &Netlist) -> (Vec<NodeId>, Vec<DeviceId>) {
-    fn map(dst: &mut Netlist, node: NodeId, node_map: &mut [Option<NodeId>]) -> NodeId {
-        if let Some(mapped) = node_map[node.index()] {
-            return mapped;
-        }
-        let fresh = dst.fresh_node();
-        node_map[node.index()] = Some(fresh);
-        fresh
-    }
-    let mut node_map: Vec<Option<NodeId>> = vec![None; src.node_count()];
-    node_map[Netlist::GND.index()] = Some(Netlist::GND);
-    let mut devices = Vec::with_capacity(src.device_count());
-    for (_, device) in src.iter() {
-        let id = match *device {
-            Device::Resistor { a, b, ohms } => {
-                let (a, b) = (map(dst, a, &mut node_map), map(dst, b, &mut node_map));
-                dst.resistor(a, b, ohms)
-            }
-            Device::Capacitor { a, b, farads, ic } => {
-                let (a, b) = (map(dst, a, &mut node_map), map(dst, b, &mut node_map));
-                match ic {
-                    Some(v) => dst.capacitor_with_ic(a, b, farads, v),
-                    None => dst.capacitor(a, b, farads),
-                }
-            }
-            Device::VSource { p, n, ref wave } => {
-                let (p, n) = (map(dst, p, &mut node_map), map(dst, n, &mut node_map));
-                dst.vsource_wave(p, n, wave.clone())
-            }
-            Device::ISource { p, n, ref wave } => {
-                let (p, n) = (map(dst, p, &mut node_map), map(dst, n, &mut node_map));
-                dst.isource_wave(p, n, wave.clone())
-            }
-            Device::Switch {
-                a,
-                b,
-                closed,
-                r_on,
-                r_off,
-            } => {
-                let (a, b) = (map(dst, a, &mut node_map), map(dst, b, &mut node_map));
-                let id = dst.switch(a, b, r_on, r_off);
-                dst.set_switch(id, closed);
-                id
-            }
-            Device::Diode {
-                anode,
-                cathode,
-                i_sat,
-                ideality,
-            } => {
-                let (anode, cathode) = (
-                    map(dst, anode, &mut node_map),
-                    map(dst, cathode, &mut node_map),
-                );
-                dst.diode(anode, cathode, i_sat, ideality)
-            }
-            Device::Mosfet {
-                d,
-                g,
-                s,
-                polarity,
-                vth,
-                kp,
-                lambda,
-            } => {
-                let (d, g, s) = (
-                    map(dst, d, &mut node_map),
-                    map(dst, g, &mut node_map),
-                    map(dst, s, &mut node_map),
-                );
-                dst.mosfet(d, g, s, polarity, vth, kp, lambda)
-            }
-            Device::Vcvs { p, n, cp, cn, gain } => {
-                let (p, n, cp, cn) = (
-                    map(dst, p, &mut node_map),
-                    map(dst, n, &mut node_map),
-                    map(dst, cp, &mut node_map),
-                    map(dst, cn, &mut node_map),
-                );
-                dst.vcvs(p, n, cp, cn, gain)
-            }
-            Device::Vccs { p, n, cp, cn, gm } => {
-                let (p, n, cp, cn) = (
-                    map(dst, p, &mut node_map),
-                    map(dst, n, &mut node_map),
-                    map(dst, cp, &mut node_map),
-                    map(dst, cn, &mut node_map),
-                );
-                dst.vccs(p, n, cp, cn, gm)
-            }
-        };
-        devices.push(id);
-    }
-    let nodes = node_map
-        .into_iter()
-        .map(|n| n.unwrap_or(Netlist::GND))
-        .collect();
-    (nodes, devices)
-}
-
 /// Runs the stage-two analysis over the built-in SAR ADC: the whole-ADC
-/// static model through [`analyze`], plus [`check_fd_pair_orbits`] over
-/// every declared FD pair.
+/// static model ([`SarAdc::analysis_model`]) through [`analyze`]. The
+/// declared FD pairs are checked by stage one (`SYM-L030` in
+/// [`lint_adc`](crate::lint_adc)), not here.
 pub fn analyze_adc(adc: &SarAdc) -> AnalysisReport {
     let universe = DefectUniverse::enumerate(adc, &LikelihoodModel::default());
     analyze_adc_with_universe(adc, &universe)
@@ -589,87 +459,13 @@ pub fn analyze_adc(adc: &SarAdc) -> AnalysisReport {
 /// been enumerated from the same component catalog).
 pub fn analyze_adc_with_universe(adc: &SarAdc, universe: &DefectUniverse) -> AnalysisReport {
     let model = adc.analysis_model();
-    let invariances: Vec<ObservedInvariance> = model
-        .observations
-        .iter()
-        .map(|o| ObservedInvariance {
-            name: o.name.clone(),
-            kind: o.kind.clone(),
-            symmetric: o.symmetric,
-            observed: o.observed.clone(),
-            reference: o.reference.clone(),
-        })
-        .collect();
     let analysis_model = AnalysisModel {
         context: "sar-adc".into(),
         netlist: &model.netlist,
         bindings: &model.bindings,
-        invariances: &invariances,
+        invariances: &model.observations,
     };
-    let mut report = analyze(&analysis_model, universe);
-    for pair in adc.fd_pairs() {
-        report.diagnostics.extend(check_fd_pair_orbits(&pair));
-    }
-    report
-}
-
-/// Structural-orbit refinement of the FD-pair check (`SYM-L052` on an
-/// [`FdPair`]): merges both halves into one deck, pins the declared seed
-/// correspondences with shared colors, and verifies that every seed pair —
-/// and every same-position device pair — lands in one orbit, i.e. the two
-/// halves are exchangeable by an actual automorphism of the merged
-/// network.
-///
-/// [`FdPair`]: symbist_adc::FdPair
-pub fn check_fd_pair_orbits(pair: &symbist_adc::FdPair) -> LintReport {
-    let mut report = LintReport::new();
-    let context = format!("fd pair: {}", pair.name);
-    if pair.p.device_count() != pair.n.device_count() {
-        // Grossly asymmetric; L030 already reports the cardinality
-        // mismatch with better attribution.
-        return report;
-    }
-    let mut merged = Netlist::new();
-    let (p_nodes, p_devices) = splice_netlist(&mut merged, &pair.p);
-    let (n_nodes, n_devices) = splice_netlist(&mut merged, &pair.n);
-    let mut colors: BTreeMap<usize, String> = BTreeMap::new();
-    for (i, &(p, n)) in pair.seeds.iter().enumerate() {
-        colors.insert(p_nodes[p.index()].index(), format!("seed:{i}"));
-        colors.insert(n_nodes[n.index()].index(), format!("seed:{i}"));
-    }
-    let orbits = orbit_partition(&merged, &colors);
-    for (i, (&pd, &nd)) in p_devices.iter().zip(&n_devices).enumerate() {
-        if orbits.device_orbits[pd.index()] != orbits.device_orbits[nd.index()] {
-            report.push(Diagnostic::new(
-                Rule::SymmetryBrokenPair,
-                context.clone(),
-                format!("device #{i}"),
-                "P and N instances of this position lie in different \
-                 structural orbits — no automorphism of the merged network \
-                 exchanges the declared halves"
-                    .to_string(),
-            ));
-            return report;
-        }
-    }
-    for (i, &(p, n)) in pair.seeds.iter().enumerate() {
-        let (pm, nm) = (p_nodes[p.index()], n_nodes[n.index()]);
-        if orbits.node_orbits[pm.index()] != orbits.node_orbits[nm.index()] {
-            report.push(Diagnostic::new(
-                Rule::SymmetryBrokenPair,
-                context.clone(),
-                format!("seed #{i}"),
-                format!(
-                    "seed correspondence {} ↔ {} is not realized by any \
-                     automorphism of the merged network",
-                    node_label(&pair.p, p),
-                    node_label(&pair.n, n),
-                ),
-            ));
-            return report;
-        }
-    }
-    report
+    analyze(&analysis_model, universe)
 }
 
 #[cfg(test)]

@@ -78,9 +78,8 @@ pub enum Rule {
     /// An invariance whose cone of influence contains no defect site at
     /// all — it consumes checker area but can never detect anything.
     DeadInvariance,
-    /// A declared symmetric pair whose halves land in different structural
-    /// orbits — no automorphism exchanges them (refines L030 from
-    /// value-matching to graph-automorphism evidence).
+    /// A declared-symmetric invariance whose observed nodes land in
+    /// different structural orbits — no automorphism exchanges them.
     SymmetryBrokenPair,
     /// Informational orbit-partition summary for a netlist.
     OrbitSummary,

@@ -26,10 +26,12 @@
 //! - `SYM-L01x` singularity prediction: V-source loops, I-source
 //!   cutsets, no-DC-path (gmin-only) islands
 //! - `SYM-L02x` parameter sanity per device kind
-//! - `SYM-L030` FD-symmetry of declared P/N half-circuits
+//! - `SYM-L030` FD-symmetry of declared P/N half-circuits — the one
+//!   check of the ADC's declared FD pairs
 //! - `SYM-L04x` defect-universe structure
 //! - `SYM-L05x`/`SYM-L060` stage two — symmetry orbits & detectability
-//!   (see [`orbit`] and [`analysis`])
+//!   (see [`orbit`] and [`analysis`]); `SYM-L052` checks the
+//!   declared-symmetric invariances of a static model, not FD pairs
 //!
 //! [`Netlist`]: symbist_circuit::netlist::Netlist
 //! [`DefectUniverse`]: symbist_defects::DefectUniverse
@@ -46,8 +48,8 @@ pub mod symmetry;
 pub mod universe_rules;
 
 pub use analysis::{
-    analyze, analyze_adc, analyze_adc_with_universe, check_fd_pair_orbits, AnalysisModel,
-    AnalysisReport, DefectClass, ObservedInvariance,
+    analyze, analyze_adc, analyze_adc_with_universe, AnalysisModel, AnalysisReport, DefectClass,
+    ObservedInvariance,
 };
 pub use diag::{Diagnostic, LintReport, Rule, Severity};
 pub use orbit::{orbit_partition, OrbitPartition};

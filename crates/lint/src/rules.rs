@@ -14,15 +14,7 @@ use symbist_circuit::netlist::{device_param_issue, Device, Netlist, NodeId};
 use symbist_circuit::topology::{DisjointSet, Topology};
 
 use crate::diag::{Diagnostic, LintReport, Rule, Severity};
-
-/// Renders a node for diagnostics: its name when it has one, else `n{idx}`.
-fn node_label(nl: &Netlist, node: NodeId) -> String {
-    match nl.node_name(node) {
-        Some(name) => format!("node {name}"),
-        None if node.is_ground() => "node gnd".to_string(),
-        None => format!("node n{}", node.index()),
-    }
-}
+use crate::symmetry::node_label;
 
 /// Renders a device for diagnostics.
 fn device_label(nl: &Netlist, id: symbist_circuit::DeviceId) -> String {
@@ -99,7 +91,10 @@ fn floating_and_dangling(context: &str, nl: &Netlist, topo: &Topology, report: &
         }
     }
     for nodes in islands.values() {
-        let labels: Vec<String> = nodes.iter().map(|&n| node_label(nl, n)).collect();
+        let labels: Vec<String> = nodes
+            .iter()
+            .map(|&n| format!("node {}", node_label(nl, n)))
+            .collect();
         report.push(Diagnostic::new(
             Rule::FloatingNode,
             context,
@@ -130,7 +125,7 @@ fn floating_and_dangling(context: &str, nl: &Netlist, topo: &Topology, report: &
         let mut diag = Diagnostic::new(
             Rule::DanglingNode,
             context,
-            node_label(nl, node),
+            format!("node {}", node_label(nl, node)),
             format!(
                 "only one terminal ({}) lands on this node — likely an \
                  unconnected wire",
@@ -164,8 +159,8 @@ fn vsource_loops(context: &str, nl: &Netlist, report: &mut LintReport) {
                 context,
                 device_label(nl, id),
                 format!(
-                    "closes a loop of ideal voltage constraints between {} \
-                     and {}; the MNA branch equations become singular or \
+                    "closes a loop of ideal voltage constraints between node {} \
+                     and node {}; the MNA branch equations become singular or \
                      contradictory",
                     node_label(nl, p),
                     node_label(nl, n)
@@ -204,7 +199,10 @@ fn dc_path_rules(context: &str, nl: &Netlist, topo: &Topology, report: &mut Lint
                 _ => false,
             })
         });
-        let labels: Vec<String> = nodes.iter().map(|&n| node_label(nl, n)).collect();
+        let labels: Vec<String> = nodes
+            .iter()
+            .map(|&n| format!("node {}", node_label(nl, n)))
+            .collect();
         if has_isource {
             report.push(Diagnostic::new(
                 Rule::IsourceCutset,

@@ -106,7 +106,9 @@ fn device_signature(device: &Device) -> (String, Vec<f64>) {
     }
 }
 
-fn node_label(nl: &Netlist, node: NodeId) -> String {
+/// Renders a node for diagnostics: its name when it has one, else `gnd`
+/// or `n{idx}`.
+pub(crate) fn node_label(nl: &Netlist, node: NodeId) -> String {
     match nl.node_name(node) {
         Some(name) => name.to_string(),
         None if node.is_ground() => "gnd".to_string(),
