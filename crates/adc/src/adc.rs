@@ -2,20 +2,24 @@
 //! conversion engine, and the SymBIST observation taps.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::Netlist;
 use symbist_circuit::rng::Rng;
 
-use crate::bandgap::{Bandgap, BandgapMismatch};
-use crate::comparator::{ComparatorChain, ComparatorMismatch};
+use crate::bandgap::{Bandgap, BandgapMismatch, BANDGAP_COMPONENTS};
+use crate::comparator::{ComparatorChain, ComparatorMismatch, COMPARATOR_COMPONENTS};
 use crate::config::AdcConfig;
 use crate::digital::{PhaseGenerator, Pulse, SarControl, SarLogic};
 use crate::fault::{check_site, BlockKind, ComponentInfo, DefectSite, Faultable};
-use crate::refnet::{solve_ref_network, RefBufMismatch, RefOutputs, ReferenceBuffer, SubDac};
-use crate::sc_array::{ScArray, ScMismatch, ScTraces, SideLevels};
-use crate::vcm::{VcmGenerator, VcmMismatch};
+use crate::refnet::{
+    solve_ref_network, RefBufMismatch, RefOutputs, ReferenceBuffer, SubDac, REFBUF_COMPONENTS,
+    SUBDAC_COMPONENTS,
+};
+use crate::sc_array::{ScArray, ScMismatch, ScTraces, SideLevels, SC_COMPONENTS};
+use crate::vcm::{VcmGenerator, VcmMismatch, VCM_COMPONENTS};
 
 /// Everything the SymBIST checkers observe for one counter code: the
 /// signal nodes of Eqs. (2)–(5) plus the on-chip reference nodes each
@@ -54,6 +58,10 @@ pub struct TestObservation {
 
 /// The 65 nm 10-bit SAR ADC IP model.
 ///
+/// The component catalog is design data, built once per process and shared
+/// by every instance and clone; an instance carries only its configuration
+/// and the defect and mismatch state of its blocks.
+///
 /// # Examples
 ///
 /// ```
@@ -76,9 +84,6 @@ pub struct SarAdc {
     vcm: VcmGenerator,
     control: SarControl,
     phase: PhaseGenerator,
-    catalog: Vec<ComponentInfo>,
-    /// Global component index ranges per sub-block, in catalog order.
-    ranges: Vec<(SubBlock, std::ops::Range<usize>)>,
     injected: Option<DefectSite>,
     /// Cache of reference-network solves keyed by (m, l) select codes,
     /// invalidated on any state change. A mutex (not `RefCell`) so the
@@ -96,6 +101,48 @@ enum SubBlock {
     Sc,
     Vcm,
     Chain,
+}
+
+const REFBUF_START: usize = BANDGAP_COMPONENTS;
+const SUBDAC1_START: usize = REFBUF_START + REFBUF_COMPONENTS;
+const SUBDAC2_START: usize = SUBDAC1_START + SUBDAC_COMPONENTS;
+const SC_START: usize = SUBDAC2_START + SUBDAC_COMPONENTS;
+const VCM_START: usize = SC_START + SC_COMPONENTS;
+const CHAIN_START: usize = VCM_START + VCM_COMPONENTS;
+const CATALOG_LEN: usize = CHAIN_START + COMPARATOR_COMPONENTS;
+
+/// Global component index ranges per sub-block, in catalog order.
+const RANGES: [(SubBlock, Range<usize>); 7] = [
+    (SubBlock::Bandgap, 0..REFBUF_START),
+    (SubBlock::RefBuf, REFBUF_START..SUBDAC1_START),
+    (SubBlock::SubDac1, SUBDAC1_START..SUBDAC2_START),
+    (SubBlock::SubDac2, SUBDAC2_START..SC_START),
+    (SubBlock::Sc, SC_START..VCM_START),
+    (SubBlock::Vcm, VCM_START..CHAIN_START),
+    (SubBlock::Chain, CHAIN_START..CATALOG_LEN),
+];
+
+/// The ADC's component catalog, assembled from the per-block builders
+/// once per process.
+pub(crate) fn catalog() -> &'static [ComponentInfo] {
+    static CATALOG: OnceLock<Vec<ComponentInfo>> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        let mut catalog = Vec::with_capacity(CATALOG_LEN);
+        for (sb, range) in RANGES {
+            let part = match sb {
+                SubBlock::Bandgap => Bandgap::catalog(),
+                SubBlock::RefBuf => ReferenceBuffer::catalog(),
+                SubBlock::SubDac1 => SubDac::catalog(BlockKind::SubDac1),
+                SubBlock::SubDac2 => SubDac::catalog(BlockKind::SubDac2),
+                SubBlock::Sc => ScArray::catalog(),
+                SubBlock::Vcm => VcmGenerator::catalog(),
+                SubBlock::Chain => ComparatorChain::catalog(),
+            };
+            assert_eq!(part.len(), range.len(), "{sb:?} catalog size");
+            catalog.extend(part);
+        }
+        catalog
+    })
 }
 
 /// Mismatch sample for a whole ADC instance.
@@ -173,8 +220,6 @@ impl Clone for SarAdc {
             vcm: self.vcm.clone(),
             control: self.control,
             phase: self.phase,
-            catalog: self.catalog.clone(),
-            ranges: self.ranges.clone(),
             injected: self.injected,
             ref_cache: Mutex::new(
                 self.ref_cache
@@ -205,50 +250,6 @@ impl SarAdc {
         let sc = ScArray::new(&cfg);
         let chain = ComparatorChain::new(&cfg, vbg_nominal);
         let vcm = VcmGenerator::new(&cfg);
-
-        let mut catalog = Vec::new();
-        let mut ranges = Vec::new();
-        let add = |sb: SubBlock,
-                   comps: &[ComponentInfo],
-                   catalog: &mut Vec<ComponentInfo>,
-                   ranges: &mut Vec<(SubBlock, std::ops::Range<usize>)>| {
-            let start = catalog.len();
-            catalog.extend_from_slice(comps);
-            ranges.push((sb, start..catalog.len()));
-        };
-        add(
-            SubBlock::Bandgap,
-            bandgap.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(
-            SubBlock::RefBuf,
-            refbuf.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(
-            SubBlock::SubDac1,
-            sd1.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(
-            SubBlock::SubDac2,
-            sd2.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-        add(SubBlock::Sc, sc.components(), &mut catalog, &mut ranges);
-        add(SubBlock::Vcm, vcm.components(), &mut catalog, &mut ranges);
-        add(
-            SubBlock::Chain,
-            chain.components(),
-            &mut catalog,
-            &mut ranges,
-        );
-
         Self {
             cfg,
             bandgap,
@@ -260,8 +261,6 @@ impl SarAdc {
             vcm,
             control: SarControl::new(),
             phase: PhaseGenerator::new(),
-            catalog,
-            ranges,
             injected: None,
             ref_cache: Mutex::new(HashMap::new()),
         }
@@ -624,18 +623,16 @@ impl ObservationStream<'_> {
 
 impl Faultable for SarAdc {
     fn components(&self) -> &[ComponentInfo] {
-        &self.catalog
+        catalog()
     }
 
     fn inject(&mut self, site: DefectSite) {
-        check_site(&self.catalog, site);
+        check_site(catalog(), site);
         self.clear_defects();
-        let (sb, range) = self
-            .ranges
+        let (sb, range) = RANGES
             .iter()
             .find(|(_, r)| r.contains(&site.component))
-            .expect("ranges cover the catalog")
-            .clone();
+            .expect("ranges cover the catalog");
         let local = site.component - range.start;
         let d = Some((local, site.kind));
         match sb {
@@ -647,11 +644,8 @@ impl Faultable for SarAdc {
             SubBlock::Vcm => self.vcm.set_defect(d),
             SubBlock::Chain => self.chain.set_defect(d),
         }
+        // `clear_defects` above already emptied `ref_cache`.
         self.injected = Some(site);
-        self.ref_cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
     }
 
     fn clear_defects(&mut self) {
@@ -698,6 +692,67 @@ mod tests {
             "catalog size {}",
             a.components().len()
         );
+    }
+
+    /// Defect indices key checkpoints and the golden verdict file, so a
+    /// reordered, renamed, re-kinded or re-sized catalog must fail here.
+    #[test]
+    fn catalog_is_pinned() {
+        let a = adc();
+        let catalog = a.components();
+        assert_eq!(catalog.len(), 671);
+
+        // The seven owning sub-blocks, as contiguous ranges in catalog order.
+        let owner = |name: &str| match name.split('/').next() {
+            Some("bandgap") => 0,
+            Some("refbuf") => 1,
+            Some("subdac1") => 2,
+            Some("subdac2") => 3,
+            Some("scarray") => 4,
+            Some("vcmgen") => 5,
+            _ => 6,
+        };
+        let mut ranges: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        for (i, c) in catalog.iter().enumerate() {
+            match ranges.last_mut() {
+                Some((sb, r)) if *sb == owner(&c.name) => r.end = i + 1,
+                _ => ranges.push((owner(&c.name), i..i + 1)),
+            }
+        }
+        assert_eq!(
+            ranges,
+            [
+                (0, 0..16),
+                (1, 16..57),
+                (2, 57..341),
+                (3, 341..625),
+                (4, 625..639),
+                (5, 639..645),
+                (6, 645..671),
+            ]
+        );
+
+        let mut h = symbist_obs::hash::Fnv1a::default();
+        for c in catalog {
+            h.write(c.block.label().as_bytes());
+            h.write(b"\x1f");
+            h.write(c.name.as_bytes());
+            h.write(b"\x1f");
+            h.write(format!("{:?}", c.kind).as_bytes());
+            h.write(b"\x1f");
+            h.write(&c.area.to_bits().to_le_bytes());
+        }
+        assert_eq!(format!("{:016x}", h.finish()), "69a6c249bea37552");
+    }
+
+    #[test]
+    fn catalog_is_shared_not_copied() {
+        let a = adc();
+        assert!(std::ptr::eq(a.components(), a.clone().components()));
+        assert!(std::ptr::eq(
+            adc().components(),
+            SarAdc::new(AdcConfig::default()).components()
+        ));
     }
 
     #[test]

@@ -12,7 +12,8 @@ use symbist_circuit::error::CircuitError;
 use symbist_circuit::netlist::{MosPolarity, Netlist};
 use symbist_circuit::rng::Rng;
 
-use crate::bandgap::Bandgap;
+use crate::adc::catalog;
+use crate::bandgap::{Bandgap, BANDGAP_COMPONENTS};
 use crate::builder::{emit_capacitor, emit_mosfet, emit_resistor};
 use crate::config::AdcConfig;
 use crate::fault::{
@@ -24,7 +25,6 @@ use crate::fault::{
 #[derive(Debug, Clone)]
 pub struct BandgapIp {
     inner: Bandgap,
-    catalog: Vec<ComponentInfo>,
     injected: Option<DefectSite>,
     nominal: f64,
 }
@@ -37,10 +37,8 @@ impl BandgapIp {
             .solve()
             .expect("nominal bandgap solves without a budget")
             .vbg;
-        let catalog = inner.components().to_vec();
         Self {
             inner,
-            catalog,
             injected: None,
             nominal,
         }
@@ -72,12 +70,14 @@ impl BandgapIp {
 }
 
 impl Faultable for BandgapIp {
+    /// The bandgap's slice of the shared ADC catalog: it comes first, so
+    /// local and global indices coincide.
     fn components(&self) -> &[ComponentInfo] {
-        &self.catalog
+        &catalog()[..BANDGAP_COMPONENTS]
     }
 
     fn inject(&mut self, site: DefectSite) {
-        check_site(&self.catalog, site);
+        check_site(self.components(), site);
         self.inner.set_defect(Some((site.component, site.kind)));
         self.injected = Some(site);
     }

@@ -27,6 +27,8 @@ pub const TAPS: usize = 33;
 pub const LADDER_RESISTORS: usize = 32;
 /// Buffer amplifier transistor count.
 const BUFFER_TRANSISTORS: usize = 8;
+/// Reference-buffer catalog size: amp transistors, decoupling cap, ladder.
+pub(crate) const REFBUF_COMPONENTS: usize = BUFFER_TRANSISTORS + 1 + LADDER_RESISTORS;
 /// Nominal buffer output resistance (closed-loop; the ladder draws ~94 µA,
 /// so this must stay in the ohm range to keep the gain error below 1 LSB).
 const BUFFER_ROUT: f64 = 5.0;
@@ -73,7 +75,6 @@ enum BufFault {
 #[derive(Debug, Clone)]
 pub struct ReferenceBuffer {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: RefBufMismatch,
     /// Nominal bandgap voltage, captured at construction so the buffer gain
@@ -83,6 +84,18 @@ pub struct ReferenceBuffer {
 
 impl ReferenceBuffer {
     /// Creates the block. `vbg_nominal` is the defect-free bandgap output.
+    pub fn new(cfg: &AdcConfig, vbg_nominal: f64) -> Self {
+        assert!(vbg_nominal > 0.1, "nominal bandgap voltage implausible");
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: RefBufMismatch::default(),
+            vbg_nominal,
+        }
+    }
+
+    /// Builds the block's component catalog: 8 amp transistors, the
+    /// decoupling cap, then the 32 ladder resistors.
     ///
     /// Note the Table-I accounting: the resistor string is the *resistive
     /// part of the DAC* (Fig. 4: "resistive plus charge redistribution
@@ -91,9 +104,8 @@ impl ReferenceBuffer {
     /// hierarchy, where the Reference Buffer row counts only the buffer
     /// amplifier (and shows ~1 % coverage precisely because amplifier
     /// faults rescale every tap coherently).
-    pub fn new(cfg: &AdcConfig, vbg_nominal: f64) -> Self {
-        assert!(vbg_nominal > 0.1, "nominal bandgap voltage implausible");
-        let mut components = Vec::with_capacity(BUFFER_TRANSISTORS + 1 + LADDER_RESISTORS);
+    pub(crate) fn catalog() -> Vec<ComponentInfo> {
+        let mut components = Vec::with_capacity(REFBUF_COMPONENTS);
         for i in 1..=BUFFER_TRANSISTORS {
             components.push(ComponentInfo {
                 block: BlockKind::ReferenceBuffer,
@@ -117,18 +129,7 @@ impl ReferenceBuffer {
                 area: 2.0,
             });
         }
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: RefBufMismatch::default(),
-            vbg_nominal,
-        }
-    }
-
-    /// The local component catalog (8 amp transistors then 32 ladder Rs).
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -260,7 +261,6 @@ enum TapState {
 #[derive(Debug, Clone)]
 pub struct SubDac {
     block: BlockKind,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
 }
 
@@ -282,6 +282,15 @@ impl SubDac {
             matches!(block, BlockKind::SubDac1 | BlockKind::SubDac2),
             "not a sub-DAC block: {block:?}"
         );
+        Self {
+            block,
+            defect: None,
+        }
+    }
+
+    /// Builds the catalog of the sub-DAC `block` (`SubDac1` or `SubDac2`),
+    /// in the local layout documented on [`SubDac`].
+    pub(crate) fn catalog(block: BlockKind) -> Vec<ComponentInfo> {
         let prefix = match block {
             BlockKind::SubDac1 => "subdac1",
             _ => "subdac2",
@@ -311,21 +320,12 @@ impl SubDac {
                 }
             }
         }
-        Self {
-            block,
-            components,
-            defect: None,
-        }
+        components
     }
 
     /// The block identity (SubDac1 or SubDac2).
     pub fn block(&self) -> BlockKind {
         self.block
-    }
-
-    /// The local component catalog.
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -813,12 +813,9 @@ mod tests {
 
     #[test]
     fn component_counts() {
-        let (rb, s1, _) = parts();
-        assert_eq!(
-            rb.components().len(),
-            BUFFER_TRANSISTORS + 1 + LADDER_RESISTORS
-        );
-        assert_eq!(s1.components().len(), SUBDAC_COMPONENTS);
+        assert_eq!(ReferenceBuffer::catalog().len(), REFBUF_COMPONENTS);
+        assert_eq!(REFBUF_COMPONENTS, 41);
+        assert_eq!(SubDac::catalog(BlockKind::SubDac1).len(), SUBDAC_COMPONENTS);
         assert_eq!(SUBDAC_COMPONENTS, 284);
     }
 

@@ -96,7 +96,6 @@ pub struct SideLevels {
 #[derive(Debug, Clone)]
 pub struct ScArray {
     cfg: AdcConfig,
-    components: Vec<ComponentInfo>,
     defect: Option<(usize, DefectKind)>,
     mismatch: ScMismatch,
 }
@@ -159,6 +158,15 @@ impl SideCircuit {
 impl ScArray {
     /// Creates a defect-free SC array.
     pub fn new(cfg: &AdcConfig) -> Self {
+        Self {
+            cfg: cfg.clone(),
+            defect: None,
+            mismatch: ScMismatch::default(),
+        }
+    }
+
+    /// Builds the block's component catalog (P side then N side).
+    pub(crate) fn catalog() -> Vec<ComponentInfo> {
         let mut components = Vec::with_capacity(SC_COMPONENTS);
         for side in ["p", "n"] {
             for role in ROLES {
@@ -179,17 +187,7 @@ impl ScArray {
                 });
             }
         }
-        Self {
-            cfg: cfg.clone(),
-            components,
-            defect: None,
-            mismatch: ScMismatch::default(),
-        }
-    }
-
-    /// The local component catalog (P side then N side).
-    pub fn components(&self) -> &[ComponentInfo] {
-        &self.components
+        components
     }
 
     pub(crate) fn set_defect(&mut self, defect: Option<(usize, DefectKind)>) {
@@ -866,7 +864,7 @@ mod tests {
     fn step_maps_match_the_transient_oracle_over_every_sc_defect() {
         let c = cfg();
         let mut variants: Vec<(String, ScArray)> = vec![("healthy".into(), ScArray::new(&c))];
-        let catalog = ScArray::new(&c).components().to_vec();
+        let catalog = ScArray::catalog();
         for (idx, info) in catalog.iter().enumerate() {
             for &kind in info.kind.applicable_defects() {
                 let mut sc = ScArray::new(&c);
@@ -921,8 +919,7 @@ mod tests {
 
     #[test]
     fn catalog() {
-        let sc = ScArray::new(&cfg());
-        assert_eq!(sc.components().len(), SC_COMPONENTS);
+        assert_eq!(ScArray::catalog().len(), SC_COMPONENTS);
         assert_eq!(SC_COMPONENTS, 14);
     }
 }

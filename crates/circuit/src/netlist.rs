@@ -316,11 +316,11 @@ impl Device {
 /// Returns a human-readable description of the first invalid parameter in
 /// `device`, or `None` when all parameters are sane.
 ///
-/// This is the single source of truth for "sane device parameters": the
-/// [`Netlist`] builder methods consult it in debug builds (via
-/// [`Netlist::push`]'s debug assertion) and the `symbist-lint`
-/// parameter-sanity rule applies it to finished netlists, so a value the
-/// linter would flag can never slip through a builder unnoticed in tests.
+/// This is the single source of truth for "sane device parameters": every
+/// [`Netlist`] builder method checks it on insertion, in every build, and
+/// the `symbist-lint` parameter-sanity rule applies it to finished
+/// netlists, so a value the linter would flag can never slip through a
+/// builder.
 pub fn device_param_issue(device: &Device) -> Option<String> {
     fn wave_issue(wave: &SourceWave) -> Option<String> {
         match wave {
@@ -556,10 +556,9 @@ impl Netlist {
     }
 
     fn push(&mut self, d: Device) -> DeviceId {
-        // Debug-time mirror of the `symbist-lint` parameter-sanity rule:
-        // anything the linter would flag as a bad parameter is a builder
-        // bug, caught at construction in test/debug builds.
-        #[cfg(debug_assertions)]
+        // Mirror of the `symbist-lint` parameter-sanity rule: anything the
+        // linter would flag as a bad parameter is a builder bug, caught at
+        // construction.
         if let Some(issue) = device_param_issue(&d) {
             panic!("invalid device parameters: {issue}");
         }
@@ -615,8 +614,8 @@ impl Netlist {
     ///
     /// # Panics
     ///
-    /// Panics if `farads` is not strictly positive and finite, or (in
-    /// debug builds) if `ic` is not finite.
+    /// Panics if `farads` is not strictly positive and finite, or if `ic`
+    /// is not finite.
     pub fn capacitor_with_ic(&mut self, a: NodeId, b: NodeId, farads: f64, ic: f64) -> DeviceId {
         self.check_node(a);
         self.check_node(b);
@@ -633,6 +632,10 @@ impl Netlist {
     }
 
     /// Adds a DC voltage source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `volts` is not finite.
     pub fn vsource(&mut self, p: NodeId, n: NodeId, volts: f64) -> DeviceId {
         self.vsource_wave(p, n, SourceWave::Dc(volts))
     }

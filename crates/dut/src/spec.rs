@@ -28,6 +28,8 @@
 
 use std::fmt;
 
+use symbist_obs::hash::Fnv1a;
+
 use crate::Json;
 
 /// Why a DUT spec was rejected.
@@ -276,39 +278,39 @@ impl DutSpec {
     /// deliberately does not participate: identity is defined by what the
     /// DUT *is*, not who uploaded it.
     pub fn content_hash(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.eat(b"name\x1f");
-        h.eat(self.name.as_bytes());
-        h.eat(b"\x1fnetlist\x1f");
-        h.eat(self.canonical_netlist().as_bytes());
+        let mut h = Fnv1a::default();
+        h.write(b"name\x1f");
+        h.write(self.name.as_bytes());
+        h.write(b"\x1fnetlist\x1f");
+        h.write(self.canonical_netlist().as_bytes());
         for inv in &self.invariances {
-            h.eat(b"\x1finv\x1f");
-            h.eat(inv.name.as_bytes());
-            h.eat(b"\x1f");
-            h.eat(inv.a.as_bytes());
-            h.eat(b"\x1f");
-            h.eat(inv.b.as_bytes());
+            h.write(b"\x1finv\x1f");
+            h.write(inv.name.as_bytes());
+            h.write(b"\x1f");
+            h.write(inv.a.as_bytes());
+            h.write(b"\x1f");
+            h.write(inv.b.as_bytes());
             match inv.kind {
                 InvarianceKind::Complementary { alpha } => {
-                    h.eat(b"\x1fcomplementary\x1f");
-                    h.eat(&alpha.to_bits().to_le_bytes());
+                    h.write(b"\x1fcomplementary\x1f");
+                    h.write(&alpha.to_bits().to_le_bytes());
                 }
-                InvarianceKind::Replica => h.eat(b"\x1freplica"),
+                InvarianceKind::Replica => h.write(b"\x1freplica"),
             }
         }
         let cal = &self.calibration;
-        h.eat(b"\x1fcal\x1f");
-        h.eat(&cal.k.to_bits().to_le_bytes());
-        h.eat(&(cal.samples as u64).to_le_bytes());
-        h.eat(&cal.seed.to_le_bytes());
-        h.eat(&cal.resistor_sigma.to_bits().to_le_bytes());
-        h.eat(&cal.capacitor_sigma.to_bits().to_le_bytes());
-        h.eat(&cal.vth_sigma.to_bits().to_le_bytes());
+        h.write(b"\x1fcal\x1f");
+        h.write(&cal.k.to_bits().to_le_bytes());
+        h.write(&(cal.samples as u64).to_le_bytes());
+        h.write(&cal.seed.to_le_bytes());
+        h.write(&cal.resistor_sigma.to_bits().to_le_bytes());
+        h.write(&cal.capacitor_sigma.to_bits().to_le_bytes());
+        h.write(&cal.vth_sigma.to_bits().to_le_bytes());
         if let Some(lw) = &self.likelihood {
-            h.eat(b"\x1flw\x1f");
-            h.eat(&lw.short_weight.to_bits().to_le_bytes());
-            h.eat(&lw.open_weight.to_bits().to_le_bytes());
-            h.eat(&lw.param_weight.to_bits().to_le_bytes());
+            h.write(b"\x1flw\x1f");
+            h.write(&lw.short_weight.to_bits().to_le_bytes());
+            h.write(&lw.open_weight.to_bits().to_le_bytes());
+            h.write(&lw.param_weight.to_bits().to_le_bytes());
         }
         h.finish()
     }
@@ -523,27 +525,6 @@ fn canonical_netlist(source: &str) -> String {
     logical.join("\n")
 }
 
-/// FNV-1a, 64-bit. Stable across platforms and releases — the hash is a
-/// persistence key, so it must never depend on `std::hash` internals.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,6 +644,27 @@ mod tests {
         let mut other_tenant = base.clone();
         other_tenant.tenant = "lab-b".into();
         assert_eq!(other_tenant.content_hash(), base.content_hash());
+    }
+
+    /// Content ids are on-disk registry keys: the hash must never drift.
+    #[test]
+    fn content_ids_are_pinned() {
+        let spec = DutSpec::from_json_text(&demo_text()).unwrap();
+        assert_eq!(spec.id(), "0100e31506366700");
+        let full = DutSpec::from_json_text(
+            r#"{
+                "name": "full",
+                "netlist": "V1 vref 0 1.2\nR1 vref outp 1k\nR2 outp 0 1k\nR3 vref outn 1k\nR4 outn 0 1k",
+                "invariances": [
+                    {"name": "sum", "kind": "complementary", "a": "outp", "b": "outn", "alpha": 1.2},
+                    {"name": "rep", "kind": "replica", "a": "outp", "b": "outn"}
+                ],
+                "calibration": {"k": 4.5, "samples": 12, "seed": 9},
+                "likelihood": {"short_weight": 2.0, "open_weight": 1.0, "param_weight": 0.5}
+            }"#,
+        )
+        .unwrap();
+        assert_eq!(full.id(), "9df4fe91d135be65");
     }
 
     #[test]

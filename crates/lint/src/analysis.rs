@@ -694,6 +694,8 @@ mod tests {
         // Deterministic across fresh constructions.
         let again = analyze_adc(&SarAdc::new(AdcConfig::default()));
         assert_eq!(report.certificate, again.certificate);
+        // Pinned: the certificate fingerprints the whole deck.
+        assert_eq!(format!("{:016x}", report.certificate), "4a565d27c39dab8e");
         assert_eq!(report.classes, again.classes);
     }
 

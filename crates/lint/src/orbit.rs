@@ -43,6 +43,7 @@ use std::collections::BTreeMap;
 
 use symbist_circuit::netlist::{Device, Netlist, NodeId, SourceWave};
 use symbist_circuit::topology::DisjointSet;
+use symbist_obs::hash::Fnv1a;
 
 /// Terminal roles. Symmetric two-terminal devices use the same role for
 /// both ends, which is what lets WL discover their end-swap symmetry.
@@ -409,15 +410,13 @@ impl OrbitPartition {
     }
 }
 
+/// FNV-1a over the little-endian bytes of `data`.
 fn fnv1a(data: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &word in data {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    let mut h = Fnv1a::default();
+    for word in data {
+        h.write(&word.to_le_bytes());
     }
-    hash
+    h.finish()
 }
 
 /// Computes the orbit partition of `nl`. `node_colors` carries the

@@ -3,9 +3,9 @@
 //! The measurement substrate for the whole workspace: a lock-sharded
 //! **metrics registry** (counters, gauges, fixed-bucket histograms) plus
 //! **span-based tracing** with a bounded ring-buffer exporter, and the
-//! workspace's one **JSON codec** ([`json`]). Hand-rolled on `std` like
-//! everything else in the repo — no `prometheus`, no `tracing`, no
-//! `opentelemetry`, no `serde`.
+//! workspace's one **JSON codec** ([`json`]) and one stable byte hash
+//! ([`hash`]). Hand-rolled on `std` like everything else in the repo —
+//! no `prometheus`, no `tracing`, no `opentelemetry`, no `serde`.
 //!
 //! ## Design constraints
 //!
@@ -54,6 +54,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod fault;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod span;

@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::enabled;
+use crate::hash::Fnv1a;
 
 /// Log-decade time edges in seconds: 100 ns … 10 s. One decade per
 /// bucket spans everything from a sparse 3×3 solve to a full campaign
@@ -276,12 +277,9 @@ impl Registry {
     fn shard(&self, name: &str) -> &Mutex<HashMap<String, (String, Handle)>> {
         // FNV-1a: tiny, stable across runs (unlike RandomState), and only
         // used to spread registrations — not security sensitive.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(hash as usize) % SHARDS]
+        let mut hash = Fnv1a::default();
+        hash.write(name.as_bytes());
+        &self.shards[(hash.finish() as usize) % SHARDS]
     }
 
     fn register(&self, name: &str, help: &str, make: impl FnOnce() -> Handle) -> Handle {
