@@ -427,18 +427,8 @@ impl SarAdc {
     /// makes stop-on-detection genuinely cheaper: a defect caught at
     /// counter code 3 costs 4 conversion cycles of simulation, not 32.
     ///
-    /// # Panics
-    ///
-    /// Panics if the analog simulation fails; campaign code should use
-    /// [`SarAdc::try_observation_stream`].
-    pub fn observation_stream(&self, din: f64) -> ObservationStream<'_> {
-        self.try_observation_stream(din)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`SarAdc::observation_stream`]: an injected defect
-    /// that leaves the reference network singular or the SC array without
-    /// an operating point surfaces here as `Err` instead of a panic.
+    /// An injected defect that leaves the reference network singular or
+    /// the SC array without an operating point surfaces here as `Err`.
     pub fn try_observation_stream(&self, din: f64) -> Result<ObservationStream<'_>, CircuitError> {
         let vbg = self.vbg()?;
         let vcm_v = self.vcm.solve(self.vrefp(vbg)?)?;
@@ -552,7 +542,7 @@ impl SarAdc {
 }
 
 /// A lazily-advanced run of the counter stimulus; see
-/// [`SarAdc::observation_stream`].
+/// [`SarAdc::try_observation_stream`].
 #[derive(Debug)]
 pub struct ObservationStream<'a> {
     adc: &'a SarAdc,
@@ -565,16 +555,9 @@ impl ObservationStream<'_> {
     /// Observes counter code `code`, advancing the analog simulation as
     /// needed. Earlier codes are computed (and cached) on the way.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `code >= 32` or the analog simulation fails; campaign
-    /// code should use [`ObservationStream::try_observe`].
-    pub fn observe(&mut self, code: u8) -> &TestObservation {
-        self.try_observe(code)
-            .unwrap_or_else(|e| panic!("analog simulation failed: {e}"))
-    }
-
-    /// Fallible form of [`ObservationStream::observe`].
+    /// Returns the circuit error of a failed analog simulation step.
     ///
     /// # Panics
     ///

@@ -562,20 +562,6 @@ impl ScSession {
     pub fn finish(self) -> ScTraces {
         self.traces
     }
-
-    /// Changes the FD input mid-run (used by dynamic-stimulus extensions;
-    /// the sampled charge only reflects it at the next sampling phase).
-    pub fn set_inputs(&mut self, in_p: f64, in_n: f64) {
-        self.sides[0].inputs[SRC_IN] = in_p;
-        self.sides[1].inputs[SRC_IN] = in_n;
-    }
-
-    /// Changes the common-mode source mid-run.
-    pub fn set_vcm(&mut self, vcm: f64) {
-        for side in &mut self.sides {
-            side.inputs[SRC_VCM] = vcm;
-        }
-    }
 }
 
 /// Output of an SC-array run.

@@ -108,6 +108,8 @@ pub fn run(h: &mut Harness) {
     });
 
     // --- nonlinear Newton: diode + MOS, bandgap-branch size ------------
+    // Dense whatever the engine choice: nonlinear netlists skip the
+    // sparse engine.
     {
         let mut nl = Netlist::new();
         let vdd = nl.node("vdd");

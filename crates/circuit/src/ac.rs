@@ -31,7 +31,7 @@
 
 use std::f64::consts::PI;
 
-use crate::dc::DcSolver;
+use crate::dc::{DcSolver, GMIN};
 use crate::error::CircuitError;
 use crate::mna::{diode_eval, nmos_eval, MnaLayout, Thermal};
 use crate::netlist::{Device, DeviceId, MosPolarity, Netlist, NodeId};
@@ -250,7 +250,7 @@ impl AcSolver {
             let mut rhs = vec![Cplx::default(); dim];
             // gmin regularization, as in DC.
             for i in 0..(layout.node_count - 1) {
-                m.add(i, i, Cplx::new(self.dc.options().gmin, 0.0));
+                m.add(i, i, Cplx::new(GMIN, 0.0));
             }
 
             let stamp_g = |m: &mut CMatrix, a: NodeId, b: NodeId, g: Cplx| {

@@ -12,16 +12,19 @@
 //!
 //! * [`netlist`] — circuit capture: nodes, R/C, sources, switches, diodes,
 //!   level-1 MOSFETs, controlled sources.
-//! * `mna` (crate-internal) — Modified Nodal Analysis assembly with a
-//!   linear/nonlinear stamp split: linear devices are pre-stamped once per
-//!   topology, nonlinear deltas are re-stamped per Newton iteration.
+//! * `mna` (crate-internal) — Modified Nodal Analysis assembly. Linear
+//!   netlists are stamped once per topology into a cached sparse matrix;
+//!   netlists with a diode or MOSFET are assembled dense per Newton
+//!   iteration.
 //! * [`sparse`] — KLU-style sparse LU: one-time symbolic analysis
 //!   (fill-reducing ordering + static fill-in pattern) per topology, fast
-//!   numeric refactorization per solve. The default engine.
-//! * [`matrix`] — dense LU with partial pivoting; the fallback path when a
-//!   static pivot vanishes and the cross-check oracle in tests.
+//!   numeric refactorization per solve. The default engine for linear
+//!   netlists.
+//! * [`matrix`] — dense LU with partial pivoting; the path for nonlinear
+//!   netlists, the fallback when a static pivot vanishes, and the
+//!   cross-check oracle in tests.
 //! * [`dc`] — Newton–Raphson operating point with gmin and source stepping.
-//! * [`transient`] — backward-Euler / trapezoidal integration; the netlist
+//! * [`transient`] — backward-Euler integration; the netlist
 //!   is borrowed per step so digital controllers can flip switches, which is
 //!   how the SAR conversion loop drives the analog core.
 //! * [`mc`] — process-variation engine used to calibrate SymBIST's
@@ -67,7 +70,6 @@ pub mod rng;
 pub mod sparse;
 pub mod topology;
 pub mod transient;
-pub mod units;
 pub mod waveform;
 
 pub use dc::{set_thread_solve_budget, DcOptions, DcSolver, EngineChoice, Operating, SolveBudget};
@@ -75,5 +77,5 @@ pub use error::CircuitError;
 pub use netlist::{device_param_issue, Device, DeviceId, MosPolarity, Netlist, NodeId, SourceWave};
 pub use rng::Rng;
 pub use topology::{DisjointSet, Topology};
-pub use transient::{Integrator, MapStepper, StepMap, TransientOptions, TransientSim};
+pub use transient::{MapStepper, StepMap, TransientOptions, TransientSim};
 pub use waveform::{Trace, TraceSet};

@@ -124,7 +124,7 @@ impl MnaLayout {
 /// Companion-model state for one capacitor during transient analysis.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CapCompanion {
-    /// Equivalent conductance (C/h for BE, 2C/h for trapezoidal).
+    /// Equivalent conductance `C/h` (backward Euler).
     pub g: f64,
     /// Equivalent current source injected a → b.
     pub ieq: f64,
@@ -388,74 +388,44 @@ impl Assembler {
     }
 }
 
-/// Precomputed sparse-pattern slots for one diode (the four conductance
-/// positions over `{anode, cathode}²`; `None` where a terminal is ground).
-#[derive(Debug, Clone, Copy, Default)]
-struct DiodeSlots {
-    aa: Option<usize>,
-    kk: Option<usize>,
-    ak: Option<usize>,
-    ka: Option<usize>,
-}
-
-/// Precomputed sparse-pattern slots for one MOSFET: all positions the stamp
-/// can touch in either drain/source orientation, `{d,s} × {d,s,g}`.
-#[derive(Debug, Clone, Copy, Default)]
-struct MosSlots {
-    dd: Option<usize>,
-    ds: Option<usize>,
-    sd: Option<usize>,
-    ss: Option<usize>,
-    dg: Option<usize>,
-    sg: Option<usize>,
-}
-
-/// Per-device nonlinear stamp plan, indexed by device id.
-#[derive(Debug, Clone, Copy)]
-enum NonlinearSlots {
-    /// Device is linear (or RHS-only); nothing to re-stamp per iteration.
-    None,
-    Diode(DiodeSlots),
-    Mos(MosSlots),
-}
-
-/// Sparse MNA assembler with a linear/nonlinear stamp split.
+/// Sparse MNA assembler for linear netlists.
 ///
 /// The expensive per-topology work — sparsity-pattern discovery, fill-reducing
-/// ordering, symbolic factorization, and stamping of all *linear* devices —
-/// happens once. Each Newton iteration then only copies the cached linear
-/// base values, adds the nonlinear deltas (diode and MOSFET conductances at
-/// the current guess), rebuilds the right-hand side, and runs the static-
-/// pattern numeric refactorization from [`crate::sparse`].
+/// ordering, symbolic factorization, and stamping of every device — happens
+/// once. Each solve then only rebuilds the right-hand side and, when the
+/// matrix values changed, runs the static-pattern numeric refactorization
+/// from [`crate::sparse`].
 ///
-/// Linear device values *can* change between solves (switches toggled by the
-/// SAR controller, capacitor companions when `dt` changes, `gmin` stepping);
-/// a per-device fingerprint detects that and rebuilds the base lazily.
+/// Device values *can* change between solves (switches toggled by the SAR
+/// controller, capacitor companions when `dt` changes, `gmin` stepping); a
+/// per-device fingerprint detects that and rebuilds the matrix lazily.
+///
+/// Netlists with a diode or MOSFET never get one: [`MnaEngine::new`] routes
+/// them to the dense path.
 #[derive(Debug)]
 pub(crate) struct SparseAssembler {
     symbolic: Rc<Symbolic>,
     numeric: Numeric,
-    /// Cached values of the linear portion of the matrix.
+    /// Cached matrix values.
     base: Vec<f64>,
-    /// Scratch: base + nonlinear deltas for the current iteration.
-    work: Vec<f64>,
-    /// The values the current factorization was computed from; when `work`
-    /// comes out bit-identical (linear circuits after the first iteration,
-    /// converged Newton re-checks), the refactorization is skipped.
+    /// The values the current factorization was computed from; when `base`
+    /// is bit-identical (every solve after the first at an unchanged switch
+    /// state), the refactorization is skipped.
     factored: Vec<f64>,
     pub rhs: Vec<f64>,
-    /// Per-device linear fingerprint; a change forces a base rebuild.
+    /// Per-device value fingerprint; a change forces a base rebuild.
     fingerprint: Vec<f64>,
     /// gmin the base was built with (part of the fingerprint).
     base_gmin: f64,
     /// `true` until the first base build.
     base_dirty: bool,
-    /// Per-device nonlinear stamp plans.
-    nonlinear: Vec<NonlinearSlots>,
     /// Structure key this assembler was built for; used to return it to the
     /// per-topology cache when the owning engine is dropped.
     key: Vec<u64>,
 }
+
+/// Panic message for a nonlinear device reaching the sparse assembler.
+const LINEAR_ONLY: &str = "sparse assembly is for linear netlists only";
 
 /// Per-thread assemblers keyed by topology, each stamped with the tick of
 /// its last release. [`SparseAssembler::obtain`] removes an entry and
@@ -481,8 +451,12 @@ const ASSEMBLER_CACHE_CAP: usize = 64;
 impl SparseAssembler {
     /// A cheap structural fingerprint of the netlist: device kinds and node
     /// wiring, excluding every value (resistances, source levels, switch
-    /// state, MOS parameters) — those are handled per solve by the
-    /// per-device value fingerprint and the RHS rebuild.
+    /// state) — those are handled per solve by the per-device value
+    /// fingerprint and the RHS rebuild.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a diode or MOSFET.
     fn structure_key(netlist: &Netlist, dim: usize) -> Vec<u64> {
         let mut key = Vec::with_capacity(1 + netlist.device_count() * 4);
         key.push(dim as u64);
@@ -492,9 +466,6 @@ impl SparseAssembler {
                 Device::Resistor { a, b, .. } => key.extend([1, node(a), node(b)]),
                 Device::Switch { a, b, .. } => key.extend([2, node(a), node(b)]),
                 Device::Capacitor { a, b, .. } => key.extend([3, node(a), node(b)]),
-                Device::Diode { anode, cathode, .. } => {
-                    key.extend([4, node(anode), node(cathode)]);
-                }
                 Device::VSource { p, n, .. } => key.extend([5, node(p), node(n)]),
                 Device::ISource { p, n, .. } => key.extend([6, node(p), node(n)]),
                 Device::Vcvs { p, n, cp, cn, .. } => {
@@ -503,23 +474,26 @@ impl SparseAssembler {
                 Device::Vccs { p, n, cp, cn, .. } => {
                     key.extend([8, node(p), node(n), node(cp), node(cn)]);
                 }
-                Device::Mosfet { d, g, s, .. } => {
-                    key.extend([9, node(d), node(g), node(s)]);
-                }
+                Device::Diode { .. } | Device::Mosfet { .. } => unreachable!("{LINEAR_ONLY}"),
             }
         }
         key
     }
 
-    /// Fetches the assembler for this topology from the per-thread cache, or
-    /// builds one on first sight. The caller owns it until [`Self::release`].
+    /// Fetches the assembler for this linear topology from the per-thread
+    /// cache, or builds one on first sight. The caller owns it until
+    /// [`Self::release`].
     ///
     /// A cached assembler may carry state from a *different netlist* of the
     /// same structure (other Monte-Carlo sample, toggled switches); that is
-    /// safe by construction — the value fingerprint rebuilds the linear base
-    /// on mismatch, nonlinear stamps and the RHS are rebuilt from the actual
-    /// netlist every iteration, and the numeric factorization is refreshed
-    /// whenever the assembled values change.
+    /// safe by construction — the value fingerprint rebuilds the base on
+    /// mismatch, the RHS is rebuilt from the actual netlist every solve,
+    /// and the numeric factorization is refreshed whenever the assembled
+    /// values change.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a netlist with a diode or MOSFET.
     pub(crate) fn obtain(netlist: &Netlist, layout: &MnaLayout) -> Self {
         let key = Self::structure_key(netlist, layout.dim);
         let cached = ASSEMBLER_CACHE.with(|c| c.borrow_mut().entries.remove(&key));
@@ -575,13 +549,6 @@ impl SparseAssembler {
                 | Device::Capacitor { a, b, .. } => {
                     sym(layout.node_index(*a), layout.node_index(*b), &mut entries);
                 }
-                Device::Diode { anode, cathode, .. } => {
-                    sym(
-                        layout.node_index(*anode),
-                        layout.node_index(*cathode),
-                        &mut entries,
-                    );
-                }
                 Device::VSource { p, n, .. } => {
                     let br = layout.branch_index(id);
                     for i in [layout.node_index(*p), layout.node_index(*n)]
@@ -617,83 +584,31 @@ impl SparseAssembler {
                         }
                     }
                 }
-                Device::Mosfet { d, g, s, .. } => {
-                    // The symmetric-MOS stamp can swap drain and source per
-                    // iteration; reserve every position either orientation
-                    // can touch.
-                    for row in [layout.node_index(*d), layout.node_index(*s)] {
-                        for col in [
-                            layout.node_index(*d),
-                            layout.node_index(*s),
-                            layout.node_index(*g),
-                        ] {
-                            if let (Some(r), Some(c)) = (row, col) {
-                                entries.push((r, c));
-                            }
-                        }
-                    }
-                }
                 Device::ISource { .. } => {}
+                Device::Diode { .. } | Device::Mosfet { .. } => unreachable!("{LINEAR_ONLY}"),
             }
         }
         let symbolic = analyze_cached(layout.dim, &entries);
         let numeric = Numeric::new(&symbolic);
-
-        // Precompute per-iteration stamp slots for the nonlinear devices.
-        let slot2 = |sym: &Symbolic, r: Option<usize>, c: Option<usize>| match (r, c) {
-            (Some(r), Some(c)) => sym.slot(r, c),
-            _ => None,
-        };
-        let nonlinear = netlist
-            .iter()
-            .map(|(_, dev)| match dev {
-                Device::Diode { anode, cathode, .. } => {
-                    let a = layout.node_index(*anode);
-                    let k = layout.node_index(*cathode);
-                    NonlinearSlots::Diode(DiodeSlots {
-                        aa: slot2(&symbolic, a, a),
-                        kk: slot2(&symbolic, k, k),
-                        ak: slot2(&symbolic, a, k),
-                        ka: slot2(&symbolic, k, a),
-                    })
-                }
-                Device::Mosfet { d, g, s, .. } => {
-                    let id = layout.node_index(*d);
-                    let ig = layout.node_index(*g);
-                    let is = layout.node_index(*s);
-                    NonlinearSlots::Mos(MosSlots {
-                        dd: slot2(&symbolic, id, id),
-                        ds: slot2(&symbolic, id, is),
-                        sd: slot2(&symbolic, is, id),
-                        ss: slot2(&symbolic, is, is),
-                        dg: slot2(&symbolic, id, ig),
-                        sg: slot2(&symbolic, is, ig),
-                    })
-                }
-                _ => NonlinearSlots::None,
-            })
-            .collect();
 
         let nnz = symbolic.nnz();
         Self {
             symbolic,
             numeric,
             base: vec![0.0; nnz],
-            work: vec![0.0; nnz],
             factored: vec![f64::NAN; nnz],
             rhs: vec![0.0; layout.dim],
             fingerprint: vec![f64::NAN; netlist.device_count()],
             base_gmin: f64::NAN,
             base_dirty: true,
-            nonlinear,
             key: Vec::new(),
         }
     }
 
-    /// The linear-portion value a device contributes to the matrix; when it
-    /// changes, the cached base is stale. RHS-only changes (source values,
-    /// companion `ieq`) deliberately do not appear here.
-    fn linear_value(dev: &Device, companion: Option<&CapCompanion>) -> f64 {
+    /// The value a device contributes to the matrix; when it changes, the
+    /// cached base is stale. RHS-only changes (source values, companion
+    /// `ieq`) deliberately do not appear here.
+    fn matrix_value(dev: &Device, companion: Option<&CapCompanion>) -> f64 {
         match dev {
             Device::Resistor { ohms, .. } => 1.0 / ohms,
             Device::Switch {
@@ -705,18 +620,17 @@ impl SparseAssembler {
             Device::Capacitor { .. } => companion.map_or(0.0, |c| c.g),
             Device::Vcvs { gain, .. } => *gain,
             Device::Vccs { gm, .. } => *gm,
-            // Sources only move the RHS; diodes and MOSFETs are re-stamped
-            // every iteration anyway.
+            // Sources only move the RHS.
             _ => 0.0,
         }
     }
 
-    /// Rebuilds the cached linear base if any linear value changed.
+    /// Rebuilds the cached base if any device value changed.
     fn refresh_base(&mut self, netlist: &Netlist, layout: &MnaLayout, ctx: &AssemblyCtx<'_>) {
         let mut stale = self.base_dirty || self.base_gmin != ctx.gmin;
         for (id, dev) in netlist.iter() {
             let comp = ctx.cap_companion.get(id.index()).and_then(|c| c.as_ref());
-            let v = Self::linear_value(dev, comp);
+            let v = Self::matrix_value(dev, comp);
             if self.fingerprint[id.index()].to_bits() != v.to_bits() {
                 self.fingerprint[id.index()] = v;
                 stale = true;
@@ -834,9 +748,9 @@ impl SparseAssembler {
                         }
                     }
                 }
-                // Sources only touch the RHS; nonlinear devices are stamped
-                // per iteration on top of the base.
-                Device::ISource { .. } | Device::Diode { .. } | Device::Mosfet { .. } => {}
+                // Current sources only touch the RHS.
+                Device::ISource { .. } => {}
+                Device::Diode { .. } | Device::Mosfet { .. } => unreachable!("{LINEAR_ONLY}"),
             }
         }
         self.base_gmin = ctx.gmin;
@@ -861,14 +775,7 @@ impl SparseAssembler {
         x_out: &mut [f64],
     ) -> Result<bool, SingularMatrixError> {
         self.refresh_base(netlist, layout, ctx);
-        self.work.copy_from_slice(&self.base);
         self.rhs.fill(0.0);
-
-        let v = |n: NodeId| match layout.node_index(n) {
-            None => 0.0,
-            Some(i) => ctx.guess[i],
-        };
-
         for (id, dev) in netlist.iter() {
             match dev {
                 Device::VSource { p: _, n: _, wave } => {
@@ -895,121 +802,22 @@ impl SparseAssembler {
                         }
                     }
                 }
-                Device::Diode {
-                    anode,
-                    cathode,
-                    i_sat,
-                    ideality,
-                } => {
-                    let NonlinearSlots::Diode(slots) = self.nonlinear[id.index()] else {
-                        unreachable!("diode slot plan missing");
-                    };
-                    let vd = v(*anode) - v(*cathode);
-                    let nvt = ideality * ctx.thermal.vt();
-                    let is_eff = ctx.thermal.diode_is(*i_sat);
-                    let (i, g) = diode_eval(vd, is_eff, nvt);
-                    let ieq = i - g * vd;
-                    if let Some(s) = slots.aa {
-                        self.work[s] += g;
-                    }
-                    if let Some(s) = slots.kk {
-                        self.work[s] += g;
-                    }
-                    if let Some(s) = slots.ak {
-                        self.work[s] -= g;
-                    }
-                    if let Some(s) = slots.ka {
-                        self.work[s] -= g;
-                    }
-                    if let Some(ia) = layout.node_index(*anode) {
-                        self.rhs[ia] -= ieq;
-                    }
-                    if let Some(ik) = layout.node_index(*cathode) {
-                        self.rhs[ik] += ieq;
-                    }
-                }
-                Device::Mosfet {
-                    d,
-                    g,
-                    s,
-                    polarity,
-                    vth,
-                    kp,
-                    lambda,
-                } => {
-                    let NonlinearSlots::Mos(slots) = self.nonlinear[id.index()] else {
-                        unreachable!("mosfet slot plan missing");
-                    };
-                    let vth_t = ctx.thermal.mos_vth(*vth);
-                    let kp_t = ctx.thermal.mos_kp(*kp);
-                    let sign = match polarity {
-                        MosPolarity::Nmos => 1.0,
-                        MosPolarity::Pmos => -1.0,
-                    };
-                    let (nvd, nvg, nvs) = (sign * v(*d), sign * v(*g), sign * v(*s));
-                    let swapped = nvd < nvs;
-                    let (nhd, nhs) = if swapped { (nvs, nvd) } else { (nvd, nvs) };
-                    let vgs = nvg - nhs;
-                    let vds = nhd - nhs;
-                    let (ids, gm, gds) = nmos_eval(vgs, vds, vth_t, kp_t, *lambda);
-                    let ieq = ids - gm * vgs - gds * vds;
-                    // Conductance gds between hd and hs = between d and s.
-                    if let Some(sl) = slots.dd {
-                        self.work[sl] += gds;
-                    }
-                    if let Some(sl) = slots.ss {
-                        self.work[sl] += gds;
-                    }
-                    if let Some(sl) = slots.ds {
-                        self.work[sl] -= gds;
-                    }
-                    if let Some(sl) = slots.sd {
-                        self.work[sl] -= gds;
-                    }
-                    // VCCS gm from (g, hs) driving hd → hs.
-                    let (hd_g, hd_hs, hs_g, hs_hs) = if swapped {
-                        (slots.sg, slots.sd, slots.dg, slots.dd)
-                    } else {
-                        (slots.dg, slots.ds, slots.sg, slots.ss)
-                    };
-                    if let Some(sl) = hd_g {
-                        self.work[sl] += gm;
-                    }
-                    if let Some(sl) = hd_hs {
-                        self.work[sl] -= gm;
-                    }
-                    if let Some(sl) = hs_g {
-                        self.work[sl] -= gm;
-                    }
-                    if let Some(sl) = hs_hs {
-                        self.work[sl] += gm;
-                    }
-                    // Equivalent current hd → hs, mapped back by `sign`.
-                    let (hd, hs) = if swapped { (*s, *d) } else { (*d, *s) };
-                    if let Some(i) = layout.node_index(hd) {
-                        self.rhs[i] -= sign * ieq;
-                    }
-                    if let Some(i) = layout.node_index(hs) {
-                        self.rhs[i] += sign * ieq;
-                    }
-                }
-                Device::Resistor { .. }
-                | Device::Switch { .. }
-                | Device::Vcvs { .. }
-                | Device::Vccs { .. } => {}
+                // The rest stamp only the matrix; `refresh_base` rejects
+                // diodes and MOSFETs.
+                _ => {}
             }
         }
 
         // NaN-initialized `factored` never bit-matches, so the first
-        // iteration always factors.
+        // solve always factors.
         let same = self
-            .work
+            .base
             .iter()
             .zip(&self.factored)
-            .all(|(w, f)| w.to_bits() == f.to_bits());
+            .all(|(b, f)| b.to_bits() == f.to_bits());
         if !same {
-            self.numeric.refactor(&self.symbolic, &self.work)?;
-            self.factored.copy_from_slice(&self.work);
+            self.numeric.refactor(&self.symbolic, &self.base)?;
+            self.factored.copy_from_slice(&self.base);
         }
         self.numeric.solve_into(&self.symbolic, &self.rhs, x_out);
         Ok(!same)
@@ -1021,19 +829,17 @@ impl SparseAssembler {
     }
 }
 
-/// Solver engine: sparse split-assembly path with the dense partially-pivoted
-/// path as fallback and cross-check oracle.
+/// Solver engine: the sparse path for linear netlists, with the dense
+/// partially-pivoted path as fallback and cross-check oracle.
 #[derive(Debug)]
 pub(crate) struct MnaEngine {
     dense: Assembler,
+    /// `None` when the engine is dense-only: by choice, or because the
+    /// netlist has a diode or MOSFET.
     sparse: Option<SparseAssembler>,
     /// Solution buffer reused across iterations; [`MnaEngine::assemble_and_solve`]
     /// hands out a borrow of it so the hot loop never allocates.
     solution: Vec<f64>,
-    /// Consecutive sparse pivot failures; the engine goes sticky-dense after
-    /// a few so a topology that genuinely defeats static pivoting does not
-    /// pay for a doomed refactorization on every iteration.
-    sparse_failures: u32,
     stats: EngineStats,
 }
 
@@ -1097,26 +903,21 @@ impl EngineStats {
     }
 }
 
-/// After this many consecutive static-pivot failures the engine stops trying
-/// the sparse path for the remainder of its lifetime.
-const SPARSE_FAILURE_LIMIT: u32 = 8;
-
 impl MnaEngine {
+    /// An engine for `netlist`. A netlist with a diode or MOSFET is solved
+    /// dense whatever `choice` says: on the ADC's nonlinear blocks no
+    /// Newton iterate ever passed the sparse static pivot, so every attempt
+    /// was a wasted refactorization before the dense solve.
     pub(crate) fn new(netlist: &Netlist, choice: crate::dc::EngineChoice) -> Self {
-        use crate::dc::EngineChoice;
         let dense = Assembler::new(netlist);
-        let sparse = match crate::dc::resolve_engine(choice) {
-            EngineChoice::Dense => None,
-            EngineChoice::Auto | EngineChoice::Sparse => {
-                Some(SparseAssembler::obtain(netlist, &dense.layout))
-            }
-        };
+        let sparse = (crate::dc::resolve_engine(choice) != crate::dc::EngineChoice::Dense
+            && !netlist.has_nonlinear())
+        .then(|| SparseAssembler::obtain(netlist, &dense.layout));
         let solution = vec![0.0; dense.layout.dim];
         Self {
             dense,
             sparse,
             solution,
-            sparse_failures: 0,
             stats: EngineStats::new(),
         }
     }
@@ -1186,32 +987,25 @@ impl MnaEngine {
     }
 
     /// Solves on the sparse path into `self.solution`; `false` when the
-    /// caller must take the dense path (sparse disabled, gone sticky-dense,
-    /// or a vanishing static pivot).
+    /// caller must take the dense path (no sparse assembler, or a vanishing
+    /// static pivot).
     fn try_sparse(&mut self, netlist: &Netlist, ctx: &AssemblyCtx<'_>) -> bool {
-        if self.sparse_failures >= SPARSE_FAILURE_LIMIT {
-            return false;
-        }
         // Split borrows: the layout lives on the dense assembler.
         let Some(sparse) = self.sparse.as_mut() else {
             return false;
         };
-        match sparse.assemble_and_solve(netlist, &self.dense.layout, ctx, &mut self.solution) {
-            Ok(refactored) => {
-                self.sparse_failures = 0;
-                self.stats.sparse_solves += 1;
-                if refactored {
-                    self.stats.refactors += 1;
-                } else {
-                    self.stats.refactor_skips += 1;
-                }
-                true
-            }
-            Err(_) => {
-                self.sparse_failures += 1;
-                false
-            }
+        let Ok(refactored) =
+            sparse.assemble_and_solve(netlist, &self.dense.layout, ctx, &mut self.solution)
+        else {
+            return false;
+        };
+        self.stats.sparse_solves += 1;
+        if refactored {
+            self.stats.refactors += 1;
+        } else {
+            self.stats.refactor_skips += 1;
         }
+        true
     }
 }
 
@@ -1480,6 +1274,32 @@ mod tests {
         // lambda introduces a small step at pinch-off in the level-1 model
         // (standard behaviour); with lambda·vds = 5% the step is bounded.
         assert!((i_sat - i_tri).abs() / i_tri < 0.06);
+    }
+
+    #[test]
+    fn only_linear_netlists_get_a_sparse_assembler() {
+        use crate::dc::EngineChoice;
+        let divider = || {
+            let mut nl = Netlist::new();
+            let a = nl.node("a");
+            let b = nl.node("b");
+            nl.vsource(a, Netlist::GND, 1.0);
+            nl.resistor(a, b, 1e3);
+            (nl, b)
+        };
+        let (mut diode, b) = divider();
+        diode.diode(b, Netlist::GND, 1e-14, 1.0);
+        let (mut mos, b) = divider();
+        mos.mosfet(b, b, Netlist::GND, MosPolarity::Nmos, 0.4, 1e-4, 0.0);
+        let (mut linear, b) = divider();
+        linear.resistor(b, Netlist::GND, 1e3);
+        let sparse = |nl: &Netlist, choice| MnaEngine::new(nl, choice).sparse.is_some();
+        for choice in [EngineChoice::Auto, EngineChoice::Sparse] {
+            assert!(!sparse(&diode, choice));
+            assert!(!sparse(&mos, choice));
+            assert!(sparse(&linear, choice));
+        }
+        assert!(!sparse(&linear, EngineChoice::Dense));
     }
 
     #[test]

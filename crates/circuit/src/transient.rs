@@ -1,11 +1,11 @@
 //! Transient analysis with switch-event co-simulation.
 //!
-//! Capacitors are replaced by their companion models (backward Euler or
-//! trapezoidal) and the resulting resistive circuit is solved per time step
-//! with the same Newton engine as the DC analysis. The simulation object
-//! borrows the netlist per step, so a digital controller can flip switches
-//! or retarget sources between steps — this is how the SAR conversion loop
-//! and the SymBIST stimulus drive the analog core.
+//! Capacitors are replaced by their backward-Euler companion models and the
+//! resulting resistive circuit is solved per time step with the same Newton
+//! engine as the DC analysis. The simulation object borrows the netlist per
+//! step, so a digital controller can flip switches or retarget sources
+//! between steps — this is how the SAR conversion loop and the SymBIST
+//! stimulus drive the analog core.
 //!
 //! # Examples
 //!
@@ -30,30 +30,20 @@
 //! # Ok::<(), symbist_circuit::error::CircuitError>(())
 //! ```
 
-use crate::dc::{charge_newton_iteration, DcOptions, DcSolver, Operating};
+use crate::dc::{charge_newton_iteration, DcOptions, DcSolver, Operating, GMIN, MAX_ITER};
 use crate::error::CircuitError;
 use crate::mna::{AssemblyCtx, CapCompanion, MnaEngine, Thermal};
 use crate::netlist::{Device, DeviceId, Netlist, NodeId};
 use crate::waveform::{Trace, TraceSet};
 
-/// Numerical integration method for capacitors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// Backward Euler: L-stable, first order, damps switching ringing —
-    /// the default for switched-capacitor work.
-    #[default]
-    BackwardEuler,
-    /// Trapezoidal: second order, energy preserving.
-    Trapezoidal,
-}
-
 /// Transient analysis options.
+///
+/// Capacitors integrate with backward Euler: L-stable and first order, it
+/// damps switching ringing, which is what switched-capacitor work needs.
 #[derive(Debug, Clone)]
 pub struct TransientOptions {
     /// Fixed time step in seconds.
     pub dt: f64,
-    /// Integration method.
-    pub integrator: Integrator,
     /// When `true`, capacitors with an `ic` start from it instead of the DC
     /// operating point.
     pub use_ic: bool,
@@ -65,18 +55,10 @@ impl Default for TransientOptions {
     fn default() -> Self {
         Self {
             dt: 1e-10,
-            integrator: Integrator::default(),
             use_ic: false,
             dc: DcOptions::default(),
         }
     }
-}
-
-/// Per-capacitor dynamic state.
-#[derive(Debug, Clone, Copy)]
-struct CapState {
-    v_prev: f64,
-    i_prev: f64,
 }
 
 /// A running transient simulation.
@@ -91,13 +73,11 @@ pub struct TransientSim {
     x: Vec<f64>,
     time: f64,
     dt: f64,
-    integrator: Integrator,
-    cap_state: Vec<Option<CapState>>,
+    /// Capacitor voltage at the current time, indexed by device id (`None`
+    /// for other devices).
+    cap_v: Vec<Option<f64>>,
     companions: Vec<Option<CapCompanion>>,
     device_count: usize,
-    /// Trapezoidal needs a consistent capacitor current to start from; the
-    /// first step is always taken with backward Euler to provide one.
-    first_step: bool,
     /// Steps taken by this sim, flushed to the registry once on drop so
     /// the per-step cost stays a plain integer increment.
     steps_taken: u64,
@@ -133,17 +113,14 @@ impl TransientSim {
         let solver = DcSolver::with_options(options.dc.clone());
         let op = solver.solve(netlist)?;
         let asm = MnaEngine::new(netlist, options.dc.engine);
-        let mut cap_state = vec![None; netlist.device_count()];
+        let mut cap_v = vec![None; netlist.device_count()];
         for (id, dev) in netlist.iter() {
             if let Device::Capacitor { a, b, ic, .. } = dev {
                 let v0 = match (options.use_ic, ic) {
                     (true, Some(v)) => *v,
                     _ => op.voltage(*a) - op.voltage(*b),
                 };
-                cap_state[id.index()] = Some(CapState {
-                    v_prev: v0,
-                    i_prev: 0.0,
-                });
+                cap_v[id.index()] = Some(v0);
             }
         }
         let device_count = netlist.device_count();
@@ -153,11 +130,9 @@ impl TransientSim {
             solver,
             time: 0.0,
             dt: options.dt,
-            integrator: options.integrator,
-            cap_state,
+            cap_v,
             companions: vec![None; device_count],
             device_count,
-            first_step: true,
             steps_taken: 0,
         })
     }
@@ -249,30 +224,9 @@ impl TransientSim {
         // Build companion models from the previous step's state.
         for (id, dev) in netlist.iter() {
             if let Device::Capacitor { farads, .. } = dev {
-                let st = self.cap_state[id.index()].expect("capacitor state missing");
-                let integrator = if self.first_step {
-                    // Startup: i_prev is not yet consistent; BE ignores it.
-                    Integrator::BackwardEuler
-                } else {
-                    self.integrator
-                };
-                let comp = match integrator {
-                    Integrator::BackwardEuler => {
-                        let g = farads / self.dt;
-                        CapCompanion {
-                            g,
-                            ieq: g * st.v_prev,
-                        }
-                    }
-                    Integrator::Trapezoidal => {
-                        let g = 2.0 * farads / self.dt;
-                        CapCompanion {
-                            g,
-                            ieq: g * st.v_prev + st.i_prev,
-                        }
-                    }
-                };
-                self.companions[id.index()] = Some(comp);
+                let v_prev = self.cap_v[id.index()].expect("capacitor state missing");
+                let g = farads / self.dt;
+                self.companions[id.index()] = Some(CapCompanion { g, ieq: g * v_prev });
             }
         }
 
@@ -284,7 +238,7 @@ impl TransientSim {
                 &mut self.x,
                 t_next,
                 1.0,
-                self.solver.options().gmin,
+                GMIN,
                 &companions,
             );
             self.companions = companions;
@@ -293,24 +247,18 @@ impl TransientSim {
         if !converged {
             return Err(CircuitError::NoConvergence {
                 analysis: "transient step",
-                iterations: self.solver.options().max_iter,
+                iterations: MAX_ITER,
             });
         }
 
         // Update capacitor states from the solved step.
         for (id, dev) in netlist.iter() {
             if let Device::Capacitor { a, b, .. } = dev {
-                let comp = self.companions[id.index()].expect("companion missing");
                 let v = self.node_v(*a) - self.node_v(*b);
-                let i = comp.g * v - comp.ieq;
-                self.cap_state[id.index()] = Some(CapState {
-                    v_prev: v,
-                    i_prev: i,
-                });
+                self.cap_v[id.index()] = Some(v);
             }
         }
         self.time = t_next;
-        self.first_step = false;
         self.steps_taken += 1;
         Ok(())
     }
@@ -328,9 +276,9 @@ impl TransientSim {
     ///
     /// # Errors
     ///
-    /// [`CircuitError::InvalidConfig`] for a nonlinear netlist, a
-    /// trapezoidal sim, an `inputs` entry that is not an independent
-    /// source, or a source missing from `inputs`;
+    /// [`CircuitError::InvalidConfig`] for a nonlinear netlist, an
+    /// `inputs` entry that is not an independent source, or a source
+    /// missing from `inputs`;
     /// [`CircuitError::NoConvergence`] (as a failed step would report it)
     /// when the step's system is singular.
     ///
@@ -352,9 +300,6 @@ impl TransientSim {
         let invalid = |reason: String| Err(CircuitError::InvalidConfig { reason });
         if netlist.has_nonlinear() {
             return invalid("step maps need a linear netlist".into());
-        }
-        if self.integrator != Integrator::BackwardEuler {
-            return invalid("step maps need the backward-Euler integrator".into());
         }
         let layout = self.asm.layout();
         let dim = layout.dim;
@@ -400,19 +345,18 @@ impl TransientSim {
             columns.push(col);
         }
 
-        let options = self.solver.options();
         let ctx = AssemblyCtx {
             time: self.time + self.dt,
             source_scale: 1.0,
-            gmin: options.gmin,
+            gmin: GMIN,
             guess: &self.x,
             cap_companion: &self.companions,
-            thermal: Thermal::new(options.temperature_c + 273.15),
+            thermal: Thermal::new(self.solver.options().temperature_c + 273.15),
         };
         if self.asm.solve_columns(netlist, &ctx, &mut columns).is_err() {
             return Err(CircuitError::NoConvergence {
                 analysis: "transient step",
-                iterations: options.max_iter,
+                iterations: MAX_ITER,
             });
         }
 
@@ -432,7 +376,6 @@ impl TransientSim {
             inputs: inputs.len(),
             coef,
             dt: self.dt,
-            max_iter: options.max_iter,
         })
     }
 
@@ -440,7 +383,7 @@ impl TransientSim {
     /// capacitor voltages and the voltages of `probes`, which must be the
     /// probes the stepped maps are extracted with.
     pub fn map_stepper(&self, probes: &[NodeId]) -> MapStepper {
-        let mut state: Vec<f64> = self.cap_state.iter().flatten().map(|c| c.v_prev).collect();
+        let mut state: Vec<f64> = self.cap_v.iter().flatten().copied().collect();
         let states = state.len();
         state.extend(probes.iter().map(|&n| self.voltage(n)));
         MapStepper {
@@ -512,8 +455,6 @@ pub struct StepMap {
     /// Row-major `[A | B]`, `states + probes` rows of `states + inputs`.
     coef: Vec<f64>,
     dt: f64,
-    /// Iteration budget a failing step reports, as the Newton step would.
-    max_iter: usize,
 }
 
 /// The state a [`StepMap`] advances: capacitor voltages plus probed node
@@ -573,7 +514,7 @@ impl MapStepper {
         if !self.next.iter().all(|x| x.is_finite()) {
             return Err(CircuitError::NoConvergence {
                 analysis: "transient step",
-                iterations: map.max_iter,
+                iterations: MAX_ITER,
             });
         }
         std::mem::swap(&mut self.state, &mut self.next);
@@ -634,37 +575,6 @@ mod tests {
             "v = {}",
             sim.voltage(o)
         );
-    }
-
-    #[test]
-    fn rc_step_response_trapezoidal_more_accurate() {
-        let run = |integrator: Integrator| {
-            let mut nl = Netlist::new();
-            let s = nl.node("s");
-            let o = nl.node("o");
-            nl.vsource(s, Netlist::GND, 1.0);
-            nl.resistor(s, o, 1e3);
-            nl.capacitor_with_ic(o, Netlist::GND, 1e-9, 0.0);
-            let mut sim = TransientSim::new(
-                &nl,
-                TransientOptions {
-                    dt: 2e-8,
-                    integrator,
-                    use_ic: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            while sim.time() < 1e-6 {
-                sim.step(&nl).unwrap();
-            }
-            sim.voltage(o)
-        };
-        let expect = 1.0 - (-1.0f64).exp();
-        let be_err = (run(Integrator::BackwardEuler) - expect).abs();
-        let tr_err = (run(Integrator::Trapezoidal) - expect).abs();
-        assert!(tr_err < be_err, "trap {tr_err} should beat BE {be_err}");
-        assert!(tr_err < 1e-4);
     }
 
     #[test]
@@ -873,13 +783,6 @@ mod tests {
         // Every independent source must be an input, and only sources.
         assert!(invalid(sim.step_map(&nl, &[vs], &[b])));
         assert!(invalid(sim.step_map(&nl, &[vs, is, sw], &[b])));
-        // Trapezoidal steps are not maps of the capacitor voltages alone.
-        let trap = TransientOptions {
-            integrator: Integrator::Trapezoidal,
-            ..Default::default()
-        };
-        let mut sim = TransientSim::new(&nl, trap).unwrap();
-        assert!(invalid(sim.step_map(&nl, &[vs, is], &[b])));
         // Nonlinear netlists have no fixed step map.
         let mut nl = nl;
         nl.diode(b, Netlist::GND, 1e-14, 1.0);

@@ -1,10 +1,13 @@
-//! Differential tests: the sparse split-assembly engine against the dense
+//! Differential tests: the sparse engine against the dense
 //! partially-pivoted oracle.
 //!
 //! Every representative topology from the SymBIST reproduction — the
 //! reference-ladder DC network, a bandgap-style nonlinear branch, a
 //! switched-capacitor sampling step — plus randomly generated netlists must
-//! agree between the two engines to ≤ 1e-9 on every unknown.
+//! agree between the two engines to ≤ 1e-9 on every unknown. Netlists with
+//! a diode or MOSFET are solved dense whatever engine is asked for, so the
+//! nonlinear cases check that routing; the linear ones, random ones
+//! included, run the sparse path itself.
 #![allow(clippy::unwrap_used)] // integration tests assert by panicking
 
 use symbist_circuit::dc::{DcOptions, DcSolver, EngineChoice};
@@ -60,7 +63,7 @@ fn resistor_ladder_dc() {
 }
 
 /// Bandgap-style branch: diodes ratioed 1:8, resistors, a MOSFET current
-/// leg — exercises the nonlinear re-stamp path of the split assembly.
+/// leg — a nonlinear netlist, routed dense even when sparse is asked for.
 #[test]
 fn bandgap_branch_dc() {
     let mut nl = Netlist::new();
@@ -131,7 +134,6 @@ fn sc_array_step_transient() {
                     engine,
                     ..Default::default()
                 },
-                ..Default::default()
             },
         )
         .unwrap();
@@ -161,29 +163,65 @@ fn sc_array_step_transient() {
     }
 }
 
-/// Randomly generated ladder/mesh netlists with sources, diodes, and
-/// MOSFETs sprinkled in: the generator-driven analogue of the fixed cases.
+/// A random resistive ladder/mesh: a spanning chain keeps every node
+/// connected, plus random extra edges. Node 0 is driven by a voltage
+/// source, or with `norton` by its Norton equivalent through 1 kΩ.
+fn random_mesh(rng: &mut Rng, norton: bool) -> (Netlist, Vec<NodeId>) {
+    let n_nodes = 4 + rng.below(20) as usize;
+    let mut nl = Netlist::new();
+    let nodes: Vec<NodeId> = (0..n_nodes).map(|i| nl.node(&format!("n{i}"))).collect();
+    let level = rng.uniform(0.5, 3.0);
+    if norton {
+        nl.isource(Netlist::GND, nodes[0], level / 1e3);
+        nl.resistor(nodes[0], Netlist::GND, 1e3);
+    } else {
+        nl.vsource(nodes[0], Netlist::GND, level);
+    }
+    for w in nodes.windows(2) {
+        nl.resistor(w[0], w[1], rng.uniform(100.0, 10e3));
+    }
+    nl.resistor(nodes[n_nodes - 1], Netlist::GND, rng.uniform(100.0, 10e3));
+    for _ in 0..n_nodes {
+        let a = nodes[rng.below(n_nodes as u64) as usize];
+        let b = nodes[rng.below(n_nodes as u64) as usize];
+        if a != b {
+            nl.resistor(a, b, rng.uniform(100.0, 100e3));
+        }
+    }
+    (nl, nodes)
+}
+
+/// Random meshes with controlled sources in place of the nonlinear
+/// elements: linear, so both engines really run and must agree. The mesh
+/// is current-driven because a voltage source on a mesh node puts its
+/// zero-diagonal branch row first in the minimum-degree order, where the
+/// static pivot fails and the solve reruns dense; the VCVS drives a node
+/// of its own, which the ordering eliminates before the branch row.
+#[test]
+fn random_linear_netlists_dc() {
+    for seed in 0u64..40 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let (mut nl, nodes) = random_mesh(&mut rng, true);
+        let mut pick = || nodes[rng.below(nodes.len() as u64) as usize];
+        let (c, load, sense, g_out, g_in) = (pick(), pick(), pick(), pick(), pick());
+        // A VCVS buffer driving its own output node through a load.
+        let out = nl.node("out");
+        nl.vcvs(out, Netlist::GND, c, Netlist::GND, rng.uniform(0.1, 2.0));
+        nl.resistor(out, load, rng.uniform(1e3, 100e3));
+        // A weak VCCS: current into the mesh set by a mesh voltage.
+        nl.vccs(g_out, Netlist::GND, sense, g_in, rng.uniform(1e-6, 1e-4));
+        assert_dc_agreement(&nl, &format!("random linear netlist seed {seed}"));
+    }
+}
+
+/// Randomly generated ladder/mesh netlists with diodes and MOSFETs
+/// sprinkled in: the generator-driven analogue of the fixed cases.
 #[test]
 fn random_netlists_dc() {
     for seed in 0u64..40 {
         let mut rng = Rng::seed_from_u64(seed);
-        let n_nodes = 4 + rng.below(20) as usize;
-        let mut nl = Netlist::new();
-        let nodes: Vec<NodeId> = (0..n_nodes).map(|i| nl.node(&format!("n{i}"))).collect();
-        nl.vsource(nodes[0], Netlist::GND, rng.uniform(0.5, 3.0));
-        // Spanning chain keeps every node connected.
-        for w in nodes.windows(2) {
-            nl.resistor(w[0], w[1], rng.uniform(100.0, 10e3));
-        }
-        nl.resistor(nodes[n_nodes - 1], Netlist::GND, rng.uniform(100.0, 10e3));
-        // Random extra edges.
-        for _ in 0..n_nodes {
-            let a = nodes[rng.below(n_nodes as u64) as usize];
-            let b = nodes[rng.below(n_nodes as u64) as usize];
-            if a != b {
-                nl.resistor(a, b, rng.uniform(100.0, 100e3));
-            }
-        }
+        let (mut nl, nodes) = random_mesh(&mut rng, false);
+        let n_nodes = nodes.len();
         // A couple of nonlinear elements.
         let d = nodes[rng.below(n_nodes as u64) as usize];
         nl.diode(d, Netlist::GND, 1e-14, 1.0);
@@ -194,8 +232,7 @@ fn random_netlists_dc() {
     }
 }
 
-/// The `Auto` default must route through the sparse path and still match
-/// the dense oracle on a mixed netlist.
+/// The `Auto` default must match the dense oracle on a mixed netlist.
 #[test]
 fn auto_engine_matches_dense() {
     let mut nl = Netlist::new();
